@@ -10,8 +10,9 @@
 # then re-runs the microkernel,
 # serve, net and hpcc suites under both ISA presets (XPHI_ARCH=native and the
 # sse2 baseline, so every compiled dispatch tier is exercised) and repeats
-# the concurrency-bearing suites under ThreadSanitizer. Exits non-zero on
-# the first failure; CI-runnable.
+# the concurrency-bearing suites under ThreadSanitizer and the memory-bearing
+# ones under AddressSanitizer. Exits non-zero on the first failure;
+# CI-runnable.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -71,5 +72,8 @@ done
 
 echo "== ThreadSanitizer =="
 "$(dirname "$0")/run_tsan.sh"
+
+echo "== AddressSanitizer =="
+"$(dirname "$0")/run_asan.sh"
 
 echo "check.sh: all gates passed."

@@ -1,0 +1,30 @@
+#!/usr/bin/env bash
+# Builds the memory-bearing tests under AddressSanitizer and runs them.
+#
+# Covers the coroutine rank scheduler and World messaging layer (mmap'd
+# stacks, deadline bookkeeping shared across workers), the BLAS kernels and
+# pack cache, the panel critical path, the DAG LU executor, the offload
+# engine and hybrid driver, the solve server, and the LU stage engine's
+# differential test — the code paths where a lifetime bug would be a read of
+# freed or out-of-bounds memory rather than a wrong number.
+# CI-runnable: exits non-zero on any ASan report or test failure.
+set -euo pipefail
+
+cd "$(dirname "$0")/.."
+BUILD_DIR="${BUILD_DIR:-build-asan}"
+
+cmake -B "$BUILD_DIR" -S . -DXPHI_SANITIZE=address -DCMAKE_BUILD_TYPE= \
+  >/dev/null
+cmake --build "$BUILD_DIR" -j"$(nproc)" \
+  --target test_net test_blas test_panel test_lu test_core test_serve test_stage_engine
+
+export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
+"$BUILD_DIR/tests/test_net"  # messaging layer + coroutine scheduler
+"$BUILD_DIR/tests/test_blas"
+"$BUILD_DIR/tests/test_panel"
+"$BUILD_DIR/tests/test_lu"
+"$BUILD_DIR/tests/test_core"
+"$BUILD_DIR/tests/test_serve"
+"$BUILD_DIR/tests/test_stage_engine"
+
+echo "ASan: all monitored suites clean."

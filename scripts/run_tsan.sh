@@ -21,12 +21,15 @@ BUILD_DIR="${BUILD_DIR:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DXPHI_SANITIZE=thread -DCMAKE_BUILD_TYPE= \
   >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target test_util test_blas test_panel test_microkernel test_lu test_core test_net test_net_conformance test_hpl test_mixed test_hpcc test_fault test_tune test_serve bench_scaling bench_hpcc_all
+  --target test_util test_blas test_panel test_stage_engine test_microkernel test_lu test_core test_net test_net_conformance test_hpl test_mixed test_hpcc test_fault test_tune test_serve bench_scaling bench_hpcc_all
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_util" --gtest_filter='ThreadPool*:SpinBarrier*'
 "$BUILD_DIR/tests/test_blas" --gtest_filter='Pack*:PackCache*:Gemm*'
 "$BUILD_DIR/tests/test_panel"  # pool-parallel iamax, fused LASWP, blocked TRSM
+# LU stage engine clients: the look-ahead panel thread beside the offload
+# engine's update, DAG workers, the serve offload path.
+"$BUILD_DIR/tests/test_stage_engine"
 # Registry dispatch under the pooled GEMM: magic-static table init racing
 # worker threads would show up here.
 "$BUILD_DIR/tests/test_microkernel" --gtest_filter='Microkernel*'

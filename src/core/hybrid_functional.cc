@@ -1,131 +1,38 @@
 #include "core/hybrid_functional.h"
 
 #include <algorithm>
-#include <future>
 #include <vector>
 
-#include "blas/lu_kernels.h"
+#include "blas/getrf.h"
 #include "blas/residual.h"
 #include "util/rng.h"
 
 namespace xphi::core {
 
-namespace {
-using util::Matrix;
-using util::MatrixView;
-}  // namespace
-
 HybridFunctionalResult run_functional_hybrid_hpl(
     const HybridFunctionalConfig& cfg, std::uint64_t seed) {
   HybridFunctionalResult res;
   const std::size_t n = cfg.n;
-  const std::size_t nb = cfg.nb;
 
-  Matrix<double> a(n, n), orig(n, n);
+  util::Matrix<double> a(n, n), orig(n, n);
   util::fill_hpl_matrix(a.view(), seed);
   for (std::size_t r = 0; r < n; ++r)
     for (std::size_t c = 0; c < n; ++c) orig(r, c) = a(r, c);
   std::vector<std::size_t> ipiv(n);
 
-  blas::PanelOptions popt;
-  if (cfg.panel_nb_min != 0) popt.nb_min = cfg.panel_nb_min;
-  popt.laswp_col_chunk = cfg.laswp_col_chunk;
-  popt.microkernel = cfg.microkernel;
-
-  // Factor panel `p` in place and make its pivots absolute. Returns false on
-  // a zero pivot.
-  auto factor_panel = [&](std::size_t i0) {
-    const std::size_t pw = std::min(nb, n - i0);
-    auto panel = a.block(i0, i0, n - i0, pw);
-    auto piv = std::span<std::size_t>(ipiv).subspan(i0, pw);
-    if (!blas::getrf_panel<double>(panel, piv, popt)) return false;
-    for (std::size_t t = 0; t < pw; ++t) piv[t] += i0;
-    return true;
-  };
-
-  // Offload-shaped trailing update of columns [c0, c0+ncols) at stage i0.
-  auto update_columns = [&](std::size_t i0, std::size_t pw, std::size_t c0,
-                            std::size_t ncols) {
-    if (ncols == 0) return;
-    // Pivot + forward solve for this column range: one fused cache-blocked
-    // pass over the stage's interchanges (rows shifted to block-local).
-    auto block = a.block(i0, c0, n - i0, ncols);
-    blas::SwapPlan plan;
-    plan.pairs.reserve(pw);
-    for (std::size_t t = 0; t < pw; ++t) {
-      const std::size_t src = ipiv[i0 + t] - i0;
-      if (src != t) plan.pairs.push_back({t, src});
-    }
-    plan.finalize();
-    blas::laswp_fused<double>(block, plan, /*pool=*/nullptr,
-                              cfg.laswp_col_chunk);
-    auto l11 = a.block(i0, i0, pw, pw);
-    auto u = a.block(i0, c0, pw, ncols);
-    blas::trsm_left_lower_unit<double>(
-        util::MatrixView<const double>(l11), u);
-    if (n > i0 + pw) {
-      auto l21 = a.block(i0 + pw, i0, n - i0 - pw, pw);
-      auto c = a.block(i0 + pw, c0, n - i0 - pw, ncols);
-      // The offload engine: card threads + queues + two-ended stealing.
-      offload_gemm_functional(-1.0,
-                              util::MatrixView<const double>(l21),
-                              util::MatrixView<const double>(u), c,
-                              cfg.offload);
-    }
-  };
-
-  if (!factor_panel(0)) return res;
-  for (std::size_t i0 = 0; i0 < n; i0 += nb) {
-    const std::size_t pw = std::min(nb, n - i0);
-    // Apply this stage's interchanges to the columns LEFT of the panel in a
-    // single fused pass.
-    if (i0 > 0) {
-      auto left = a.block(0, 0, n, i0);
-      blas::laswp_fused<double>(left,
-                                std::span<const std::size_t>(ipiv.data(), n),
-                                i0, i0 + pw, /*pool=*/nullptr,
-                                cfg.laswp_col_chunk);
-    }
-    const std::size_t trail0 = i0 + pw;
-    if (trail0 >= n) break;
-    const std::size_t next_pw = std::min(nb, n - trail0);
-    const bool can_lookahead = cfg.scheme != FunctionalScheme::kNoLookahead &&
-                               trail0 + next_pw <= n;
-    if (cfg.scheme == FunctionalScheme::kPipelined && can_lookahead) {
-      // Pipelined look-ahead (Figure 8c): swap + solve + update advance one
-      // column subset at a time. The next panel's columns form the first
-      // subset; once they are updated, the panel factors asynchronously
-      // while the remaining subsets stream through.
-      update_columns(i0, pw, trail0, next_pw);
-      ++res.pipelined_subsets;
-      auto panel_future =
-          std::async(std::launch::async, [&] { return factor_panel(trail0); });
-      const std::size_t rest0 = trail0 + next_pw;
-      const std::size_t rest = n - rest0;
-      const int subsets = std::max(1, cfg.pipeline_subsets);
-      const std::size_t chunk =
-          std::max<std::size_t>(1, (rest + subsets - 1) / subsets);
-      for (std::size_t c0 = rest0; c0 < n; c0 += chunk) {
-        update_columns(i0, pw, c0, std::min(chunk, n - c0));
-        ++res.pipelined_subsets;
-      }
-      if (!panel_future.get()) return res;
-      ++res.lookahead_panels;
-    } else if (can_lookahead) {
-      // Basic look-ahead: free the next panel's columns first, then factor
-      // them on a concurrent "host" thread while the offload engine chews
-      // the rest of the trailing update.
-      update_columns(i0, pw, trail0, next_pw);
-      auto panel_future =
-          std::async(std::launch::async, [&] { return factor_panel(trail0); });
-      update_columns(i0, pw, trail0 + next_pw, n - trail0 - next_pw);
-      if (!panel_future.get()) return res;
-      ++res.lookahead_panels;
-    } else {
-      update_columns(i0, pw, trail0, n - trail0);
-      if (!factor_panel(trail0)) return res;
-    }
-  }
+  // The schemes differ only in the stage loop's look-ahead policy: basic is
+  // the pipelined schedule with one subset after the next panel's columns.
+  int subsets = 0;
+  if (cfg.scheme == FunctionalScheme::kBasic) subsets = 1;
+  if (cfg.scheme == FunctionalScheme::kPipelined)
+    subsets = std::max(1, cfg.pipeline_subsets);
+  blas::StageLoopStats stats;
+  const bool factored = blas::getrf_stages<double>(
+      a.view(), ipiv, cfg.nb, {}, OffloadUpdate{cfg.offload}, subsets, &stats);
+  res.lookahead_panels = stats.lookahead_panels;
+  if (cfg.scheme == FunctionalScheme::kPipelined)
+    res.pipelined_subsets = stats.column_updates;
+  if (!factored) return res;
 
   // Solve and check.
   std::vector<double> b(n), x(n);

@@ -1,11 +1,12 @@
-// Functional (real-numerics) single-node hybrid HPL with basic look-ahead.
+// Functional (real-numerics) single-node hybrid HPL with look-ahead.
 //
-// The faithful twin of Figure 8b, executed with real threads and real math:
-// per stage, the U panel is solved and the columns of the *next* panel are
-// updated first; the next panel factorization then runs asynchronously on a
-// "host" thread while the offload engine (card threads + two-ended work
-// stealing from core/offload_functional.h) updates the rest of the trailing
-// matrix. The result is residual-checked like every other driver.
+// The twin of Figure 8, executed with real threads and real math: the LU
+// stage loop of blas/getrf.h with its trailing update routed through the
+// offload engine (card threads + two-ended work stealing from
+// core/offload_functional.h). Under look-ahead each stage updates the
+// columns of the *next* panel first; that panel then factors on a
+// concurrent "host" thread while the engine updates the rest of the
+// trailing matrix. The result is residual-checked like every other driver.
 #pragma once
 
 #include <cstddef>
@@ -27,13 +28,6 @@ struct HybridFunctionalConfig {
   FunctionalOffloadConfig offload{};
   FunctionalScheme scheme = FunctionalScheme::kBasic;
   int pipeline_subsets = 4;  // column subsets for kPipelined
-  // Critical-path kernel knobs (blas::PanelOptions); 0 = kernel defaults.
-  std::size_t panel_nb_min = 0;     // recursive-panel cutoff
-  std::size_t laswp_col_chunk = 0;  // fused-LASWP column chunk
-  // Micro-kernel registry shape for the panel's packed update
-  // (mr*100 + nr; 0 = auto-dispatch). The offload engine's GEMM reads the
-  // same knob from offload.knobs.microkernel. Bitwise-neutral.
-  int microkernel = 0;
 };
 
 struct HybridFunctionalResult {

@@ -83,4 +83,15 @@ FunctionalOffloadStats offload_gemm_functional(
     util::MatrixView<const double> b, util::MatrixView<double> c,
     const FunctionalOffloadConfig& config = {});
 
+/// The LU stage engine's trailing update (blas/getrf.h) through the offload
+/// engine: a22 -= l21 * u.
+struct OffloadUpdate {
+  const FunctionalOffloadConfig& config;
+  void operator()(util::MatrixView<const double> l21,
+                  util::MatrixView<const double> u,
+                  util::MatrixView<double> a22) const {
+    offload_gemm_functional(-1.0, l21, u, a22, config);
+  }
+};
+
 }  // namespace xphi::core

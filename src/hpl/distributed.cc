@@ -463,17 +463,13 @@ struct USlot {
   Request req;
 };
 
-/// Owner-row half of a pipelined U start: solves L11 * U = A12 for the
-/// slot's columns and isends the result down the process column.
+/// Owner-row U solve: L11 * U = A12 for the panel rows' local columns
+/// [slot.lc0, slot.lc0 + slot.width), written back in place and widened
+/// into slot.u for the wire.
 template <class T>
-void owner_solve_and_send_u(RankContext<T>& ctx, std::size_t bk, int subset,
-                            std::size_t k0, std::size_t pw,
-                            const double* panel_data, USlot& slot) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const int tag = static_cast<int>(bk) * kTagStride + kTagUBcast + subset;
-  const std::size_t lr0 = dist.local_row(k0);
+void solve_u_block(RankContext<T>& ctx, std::size_t k0, std::size_t pw,
+                   const double* panel_data, USlot& slot) {
+  const std::size_t lr0 = ctx.dist->local_row(k0);
   const double t0 = ctx.now();
   Matrix<T> u(pw, slot.width);
   for (std::size_t r = 0; r < pw; ++r)
@@ -488,6 +484,18 @@ void owner_solve_and_send_u(RankContext<T>& ctx, std::size_t bk, int subset,
   slot.u.resize(pw * slot.width);
   for (std::size_t i = 0; i < pw * slot.width; ++i)
     slot.u[i] = static_cast<double>(u.data()[i]);
+}
+
+/// Owner-row half of a pipelined U start: solves the slot's U block and
+/// isends the result down the process column.
+template <class T>
+void owner_solve_and_send_u(RankContext<T>& ctx, std::size_t bk, int subset,
+                            std::size_t k0, std::size_t pw,
+                            const double* panel_data, USlot& slot) {
+  Comm& comm = *ctx.comm;
+  const Grid& grid = ctx.dist->grid();
+  const int tag = static_cast<int>(bk) * kTagStride + kTagUBcast + subset;
+  solve_u_block(ctx, k0, pw, panel_data, slot);
   const double t1 = ctx.now();
   for (int prow = 0; prow < grid.p; ++prow)
     if (prow != ctx.prow) comm.isend(grid.rank_of(prow, ctx.pcol), tag, slot.u);
@@ -551,23 +559,7 @@ USlot solve_and_bcast_u(RankContext<T>& ctx, std::size_t bk, std::size_t k0,
   slot.width = ctx.local_col_lower_bound(cols.g1) - slot.lc0;
   slot.owner = true;  // payload in hand after the broadcast below
   if (slot.width == 0) return slot;
-  if (ctx.prow == pr) {
-    const std::size_t lr0 = dist.local_row(k0);
-    const double t0 = ctx.now();
-    Matrix<T> u(pw, slot.width);
-    for (std::size_t r = 0; r < pw; ++r)
-      for (std::size_t c = 0; c < slot.width; ++c)
-        u(r, c) = ctx.local(lr0 + r, slot.lc0 + c);
-    const Matrix<T> l11 = l11_from_packet<T>(panel_data, pw);
-    blas::trsm_left_lower_unit<T>(l11.view(), u.view());
-    for (std::size_t r = 0; r < pw; ++r)
-      for (std::size_t c = 0; c < slot.width; ++c)
-        ctx.local(lr0 + r, slot.lc0 + c) = u(r, c);
-    ctx.record(SpanKind::kTrsm, t0);
-    slot.u.resize(pw * slot.width);
-    for (std::size_t i = 0; i < pw * slot.width; ++i)
-      slot.u[i] = static_cast<double>(u.data()[i]);
-  }
+  if (ctx.prow == pr) solve_u_block(ctx, k0, pw, panel_data, slot);
   std::vector<int> col_group;
   for (int prow = 0; prow < grid.p; ++prow)
     col_group.push_back(grid.rank_of(prow, ctx.pcol));

@@ -59,20 +59,15 @@ bool factor_mixed(MatrixView<const double> a, MixedFactors& out,
       dst[c] = static_cast<float>(src[c]);
   }
   out.ipiv.assign(n, 0);
-  if (options.factor_workers > 1) {
-    lu::DagLuTuning tuning;
-    tuning.panel_nb_min = options.panel_nb_min;
-    tuning.laswp_col_chunk = options.laswp_col_chunk;
-    tuning.microkernel = options.microkernel;
-    return lu::dag_lu_factor_t<float>(out.lu.view(), out.ipiv, options.nb,
-                                      options.factor_workers,
-                                      /*pack_stats=*/nullptr, tuning,
-                                      /*panel_seconds=*/nullptr);
-  }
   blas::PanelOptions popt;
-  if (options.panel_nb_min != 0) popt.nb_min = options.panel_nb_min;
+  popt.nb_min = options.panel_nb_min;  // getrf_panel maps 0 to its default
   popt.laswp_col_chunk = options.laswp_col_chunk;
   popt.microkernel = options.microkernel;
+  if (options.factor_workers > 1)
+    return lu::dag_lu_factor_t<float>(out.lu.view(), out.ipiv, options.nb,
+                                      options.factor_workers,
+                                      /*pack_stats=*/nullptr, popt,
+                                      /*panel_seconds=*/nullptr);
   return blas::getrf_blocked<float>(out.lu.view(), out.ipiv, options.nb,
                                     options.pool, popt);
 }

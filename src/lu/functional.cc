@@ -6,7 +6,7 @@
 #include <thread>
 #include <vector>
 
-#include "blas/lu_kernels.h"
+#include "blas/getrf.h"
 #include "blas/pack_cache.h"
 #include "blas/residual.h"
 #include "lu/dag.h"
@@ -24,7 +24,7 @@ struct Shared {
   std::span<std::size_t> ipiv;
   std::size_t nb;
   PanelDag* dag;
-  DagLuTuning tuning;
+  blas::PanelOptions panel;
   // Every update task of stage i multiplies against the same L21 panel; the
   // cache (keyed by stage) packs it once per stage instead of once per task.
   // A handful of entries suffices: look-ahead keeps only a few stages live.
@@ -39,61 +39,33 @@ void execute_task(const Task& task, Shared<T>& sh) {
   const std::size_t nb = sh.nb;
   if (task.kind == TaskKind::kPanelFactor) {
     const std::size_t r0 = task.panel * nb;
-    const std::size_t pw = std::min(nb, n - r0);
-    auto panel = sh.a.block(r0, r0, n - r0, pw);
-    auto piv = sh.ipiv.subspan(r0, pw);
     const auto t0 = std::chrono::steady_clock::now();
-    blas::PanelOptions popt;
-    if (sh.tuning.panel_nb_min != 0) popt.nb_min = sh.tuning.panel_nb_min;
-    popt.laswp_col_chunk = sh.tuning.laswp_col_chunk;
-    popt.microkernel = sh.tuning.microkernel;
-    const bool ok = blas::getrf_panel<T>(panel, piv, popt);
+    const bool ok = blas::factor_stage_panel<T>(sh.a, sh.ipiv, r0,
+                                                std::min(nb, n - r0), sh.panel);
     sh.panel_seconds.fetch_add(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count(),
         std::memory_order_relaxed);
-    if (!ok) {
-      sh.failed.store(true, std::memory_order_relaxed);
-      return;
-    }
-    for (std::size_t t = 0; t < pw; ++t) piv[t] += r0;  // make absolute
-  } else {
-    const std::size_t r0 = task.stage * nb;
-    const std::size_t iw = std::min(nb, n - r0);
-    const std::size_t c0 = task.panel * nb;
-    const std::size_t jw = std::min(nb, n - c0);
-    // Pivot: apply stage-i interchanges to panel j in one fused cache-blocked
-    // pass. Rows are absolute; the block starts at row r0, so shift to
-    // block-local indices.
-    auto block = sh.a.block(r0, c0, n - r0, jw);
-    blas::SwapPlan plan;
-    plan.pairs.reserve(iw);
-    for (std::size_t t = 0; t < iw; ++t) {
-      const std::size_t src = sh.ipiv[r0 + t] - r0;
-      if (src != t) plan.pairs.push_back({t, src});
-    }
-    plan.finalize();
-    blas::laswp_fused<T>(block, plan, /*pool=*/nullptr,
-                         sh.tuning.laswp_col_chunk);
-    // Forward solve: U12 = L11^-1 * A12.
-    auto l11 = sh.a.block(r0, r0, iw, iw);
-    auto u = sh.a.block(r0, c0, iw, jw);
-    blas::trsm_left_lower_unit<T>(l11, u);
-    // Trailing update: A22 -= L21 * U12, as a single rank-iw outer product
-    // over packed operands. L21 is identical for every panel of this stage,
-    // so it comes from the stage-tagged pack cache; U12 is task-private (its
-    // pack buffer is thread-local to amortize allocations across tasks).
-    if (n > r0 + iw) {
-      auto l21 = sh.a.block(r0 + iw, r0, n - r0 - iw, iw);
-      auto a22 = sh.a.block(r0 + iw, c0, n - r0 - iw, jw);
-      const auto pl21 = sh.packs.get_a(l21, /*tag=*/task.stage);
-      thread_local blas::PackedB<T> pu;
-      pu.pack(u);
-      blas::outer_product_packed<T>(T(-1), *pl21, pu, T(1), a22,
-                                    /*pool=*/nullptr,
-                                    sh.tuning.microkernel);
-    }
+    if (!ok) sh.failed.store(true, std::memory_order_relaxed);
+    return;
   }
+  // Stage `task.stage` applied to panel column `task.panel`. The trailing
+  // update is a single rank-iw outer product over packed operands. L21 is
+  // identical for every panel of this stage, so it comes from the
+  // stage-tagged pack cache; U12 is task-private (its pack buffer is
+  // thread-local to amortize allocations across tasks).
+  const std::size_t r0 = task.stage * nb;
+  const std::size_t c0 = task.panel * nb;
+  blas::update_stage_columns<T>(
+      sh.a, sh.ipiv, r0, std::min(nb, n - r0), c0, std::min(nb, n - c0),
+      sh.panel,
+      [&](MatrixView<const T> l21, MatrixView<const T> u, MatrixView<T> a22) {
+        const auto pl21 = sh.packs.get_a(l21, /*tag=*/task.stage);
+        thread_local blas::PackedB<T> pu;
+        pu.pack(u);
+        blas::outer_product_packed<T>(T(-1), *pl21, pu, T(1), a22,
+                                      /*pool=*/nullptr, sh.panel.microkernel);
+      });
 }
 
 template <class T>
@@ -114,11 +86,12 @@ void worker_loop(Shared<T>& sh) {
 template <class T>
 bool dag_lu_factor_t(MatrixView<T> a, std::span<std::size_t> ipiv,
                      std::size_t nb, int workers, DagLuPackStats* pack_stats,
-                     DagLuTuning tuning, double* panel_seconds) {
+                     blas::PanelOptions panel, double* panel_seconds) {
   const std::size_t n = a.rows();
   const std::size_t num_panels = (n + nb - 1) / nb;
   PanelDag dag(num_panels);
-  Shared<T> sh{a, ipiv, nb, &dag, tuning};
+  panel.pool = nullptr;  // the DAG workers are the parallelism
+  Shared<T> sh{a, ipiv, nb, &dag, panel};
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(std::max(1, workers)) - 1);
@@ -133,28 +106,25 @@ bool dag_lu_factor_t(MatrixView<T> a, std::span<std::size_t> ipiv,
 
   // Post-pass: apply each stage's interchanges to the L panels on its left,
   // in stage order — the part of DLASWP the DAG tasks (which only touch
-  // panels right of the diagonal) defer. One fused pass per stage.
+  // panels right of the diagonal) defer.
   for (std::size_t p = 1; p < num_panels; ++p) {
     const std::size_t r0 = p * nb;
-    const std::size_t pw = std::min(nb, n - r0);
-    auto left = a.block(0, 0, n, r0);
-    blas::laswp_fused<T>(
-        left, std::span<const std::size_t>(ipiv.data(), n), r0, r0 + pw,
-        /*pool=*/nullptr, tuning.laswp_col_chunk);
+    blas::swap_stage_left<T>(a, ipiv, r0, std::min(nb, n - r0), panel);
   }
   return true;
 }
 
 template bool dag_lu_factor_t<float>(MatrixView<float>, std::span<std::size_t>,
                                      std::size_t, int, DagLuPackStats*,
-                                     DagLuTuning, double*);
+                                     blas::PanelOptions, double*);
 template bool dag_lu_factor_t<double>(MatrixView<double>,
                                       std::span<std::size_t>, std::size_t, int,
-                                      DagLuPackStats*, DagLuTuning, double*);
+                                      DagLuPackStats*, blas::PanelOptions,
+                                      double*);
 
 FunctionalLuResult run_functional_dag_lu(std::size_t n, std::size_t nb,
                                          int workers, std::uint64_t seed,
-                                         DagLuTuning tuning) {
+                                         const blas::PanelOptions& panel) {
   util::Matrix<double> a(n, n), orig(n, n);
   util::fill_hpl_matrix(a.view(), seed);
   for (std::size_t r = 0; r < n; ++r)
@@ -168,7 +138,7 @@ FunctionalLuResult run_functional_dag_lu(std::size_t n, std::size_t nb,
   FunctionalLuResult res;
   const auto t0 = std::chrono::steady_clock::now();
   const bool factored = dag_lu_factor(a.view(), ipiv, nb, workers, &res.pack,
-                                      tuning, &res.panel_seconds);
+                                      panel, &res.panel_seconds);
   res.factor_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <span>
 
+#include "blas/lu_kernels.h"
 #include "util/matrix.h"
 
 namespace xphi::lu {
@@ -22,22 +23,15 @@ struct DagLuPackStats {
   std::size_t pack_misses = 0;
 };
 
-/// Critical-path kernel knobs threaded into every Task1 panel factorization
-/// and every fused row-swap pass (see blas::PanelOptions). Zero means the
-/// kernel default.
-struct DagLuTuning {
-  std::size_t panel_nb_min = 0;     // recursion cutoff of getrf_panel
-  std::size_t laswp_col_chunk = 0;  // column chunk of the fused LASWP
-  // Micro-kernel registry shape (mr*100 + nr; 0 = auto-dispatch) for the
-  // panel's packed update and the trailing outer products. Bitwise-neutral.
-  int microkernel = 0;
-};
-
 /// Factors `a` in place with the dynamic DAG scheduler on `workers` real
 /// threads. ipiv receives absolute row interchanges (LAPACK style). Returns
-/// false on a zero pivot. `pack_stats`, when given, receives the trailing
-/// update's PackCache hit/miss counts; `panel_seconds` the summed wall-clock
-/// of the panel-factor tasks (the critical path the DAG pipelines around).
+/// false on a zero pivot. Each task is one call of the LU stage engine's
+/// primitives (blas/getrf.h). `panel` carries the kernel knobs of every
+/// panel factorization, fused row-swap pass and trailing outer product; its
+/// pool field is ignored (the workers are the parallelism). `pack_stats`,
+/// when given, receives the trailing update's PackCache hit/miss counts;
+/// `panel_seconds` the summed wall-clock of the panel-factor tasks (the
+/// critical path the DAG pipelines around).
 ///
 /// Scalar-generic: the float instantiation drives the same DAG protocol
 /// through the float kernel stack (getrf_panel<float>, laswp_fused<float>,
@@ -48,23 +42,24 @@ template <class T>
 bool dag_lu_factor_t(util::MatrixView<T> a, std::span<std::size_t> ipiv,
                      std::size_t nb, int workers,
                      DagLuPackStats* pack_stats = nullptr,
-                     DagLuTuning tuning = {}, double* panel_seconds = nullptr);
+                     blas::PanelOptions panel = {},
+                     double* panel_seconds = nullptr);
 
 extern template bool dag_lu_factor_t<float>(util::MatrixView<float>,
                                             std::span<std::size_t>,
                                             std::size_t, int, DagLuPackStats*,
-                                            DagLuTuning, double*);
+                                            blas::PanelOptions, double*);
 extern template bool dag_lu_factor_t<double>(util::MatrixView<double>,
                                              std::span<std::size_t>,
                                              std::size_t, int, DagLuPackStats*,
-                                             DagLuTuning, double*);
+                                             blas::PanelOptions, double*);
 
 inline bool dag_lu_factor(util::MatrixView<double> a,
                           std::span<std::size_t> ipiv, std::size_t nb,
                           int workers, DagLuPackStats* pack_stats = nullptr,
-                          DagLuTuning tuning = {},
+                          const blas::PanelOptions& panel = {},
                           double* panel_seconds = nullptr) {
-  return dag_lu_factor_t<double>(a, ipiv, nb, workers, pack_stats, tuning,
+  return dag_lu_factor_t<double>(a, ipiv, nb, workers, pack_stats, panel,
                                  panel_seconds);
 }
 
@@ -78,8 +73,8 @@ struct FunctionalLuResult {
 
 /// End-to-end: generate the HPL matrix of size n, factor with the DAG
 /// executor, solve, and return the residual.
-FunctionalLuResult run_functional_dag_lu(std::size_t n, std::size_t nb,
-                                         int workers, std::uint64_t seed = 42,
-                                         DagLuTuning tuning = {});
+FunctionalLuResult run_functional_dag_lu(
+    std::size_t n, std::size_t nb, int workers, std::uint64_t seed = 42,
+    const blas::PanelOptions& panel = {});
 
 }  // namespace xphi::lu

@@ -15,11 +15,11 @@ NativeLinpackReport run_native_linpack(std::size_t n_functional,
   // deterministically; numerics are scheduler-independent).
   const std::size_t fnb =
       options.functional_nb != 0 ? options.functional_nb : options.nb;
-  DagLuTuning panel = options.panel;
+  blas::PanelOptions panel = options.panel;
   if (options.tuner != nullptr) {
     if (const auto tuned = options.tuner->best(
             "panel", tune::bucket(n_functional, fnb, fnb))) {
-      if (tuned->panel_nb_min > 0) panel.panel_nb_min = tuned->panel_nb_min;
+      if (tuned->panel_nb_min > 0) panel.nb_min = tuned->panel_nb_min;
       if (tuned->laswp_col_chunk > 0)
         panel.laswp_col_chunk = tuned->laswp_col_chunk;
       if (tuned->microkernel != 0) panel.microkernel = tuned->microkernel;

@@ -29,9 +29,9 @@ struct NativeLinpackOptions {
   // Projection:
   bool capture_timeline = false;
   /// Critical-path kernel knobs for the functional run (panel recursion
-  /// cutoff, fused-LASWP column chunk); zeros = kernel defaults. A tuner
-  /// with a stored "panel" entry overrides these.
-  DagLuTuning panel;
+  /// cutoff, fused-LASWP column chunk, micro-kernel; the pool is ignored). A
+  /// tuner with a stored "panel" entry overrides these.
+  blas::PanelOptions panel;
   /// Optional tuning database (tune/tuner.h): a stored "native_lu" entry for
   /// this projection's bucket supplies the super-stage plan's group-core cap
   /// and regroup period (tune::Knobs::superstage_*); a stored "panel" entry

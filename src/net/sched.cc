@@ -284,7 +284,10 @@ struct Sched::Impl {
       if (deadlines.empty()) {
         cv.wait(lk);
       } else {
-        cv.wait_until(lk, deadlines.begin()->first);
+        // Copy the deadline out: wait_until keeps reading its argument while
+        // the lock is released, and a peer worker may erase that node.
+        const auto next = deadlines.begin()->first;
+        cv.wait_until(lk, next);
       }
     }
     lk.unlock();

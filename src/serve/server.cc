@@ -76,44 +76,6 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
   return h;
 }
 
-/// getrf_blocked with the trailing update routed through the functional
-/// offload engine (cards + reliability protocol) — the path chaos tests use
-/// to kill a card mid-factorization. Panel / swap / TRSM numerics are the
-/// standard kernels; only the GEMM's tile partition differs from
-/// getrf_blocked, and it is deterministic for a fixed config (dead-card
-/// re-homing never changes a bit).
-bool getrf_offload(util::MatrixView<double> a, std::span<std::size_t> ipiv,
-                   std::size_t nb, const ServeConfig& cfg) {
-  const std::size_t n = a.rows();
-  core::FunctionalOffloadConfig oc;
-  oc.cards = cfg.factor_cards;
-  oc.injector = cfg.injector;
-  for (std::size_t i = 0; i < n; i += nb) {
-    const std::size_t jb = std::min(nb, n - i);
-    auto panel_view = a.block(i, i, n - i, jb);
-    if (!blas::getrf_panel<double>(panel_view, ipiv.subspan(i, jb), {}))
-      return false;
-    for (std::size_t j = 0; j < jb; ++j) ipiv[i + j] += i;
-    const blas::SwapPlan plan = blas::make_swap_plan(
-        std::span<const std::size_t>(ipiv.data(), n), i, i + jb);
-    if (i > 0) {
-      auto left = a.block(0, 0, n, i);
-      blas::laswp_fused<double>(left, plan, nullptr, 0);
-    }
-    if (i + jb < n) {
-      auto right = a.block(0, i + jb, n, n - i - jb);
-      blas::laswp_fused<double>(right, plan, nullptr, 0);
-      auto l11 = a.block(i, i, jb, jb);
-      auto u12 = a.block(i, i + jb, jb, n - i - jb);
-      blas::trsm_left_lower_unit<double>(l11, u12, nullptr);
-      auto l21 = a.block(i + jb, i, n - i - jb, jb);
-      auto a22 = a.block(i + jb, i + jb, n - i - jb, n - i - jb);
-      core::offload_gemm_functional(-1.0, l21, u12, a22, oc);
-    }
-  }
-  return true;
-}
-
 /// Worker rank body: regenerate A, factor (or hit the shared cache), solve
 /// every right-hand side of the batch, respond. Final payload element
 /// layout documented inline; all timing here is wall-clock and feeds
@@ -179,7 +141,14 @@ void worker_main(net::Comm& comm, const ServeConfig& cfg,
                       a.data() + r * a.ld(), n * sizeof(double));
         fresh->ipiv.assign(n, 0);
         if (cfg.factor_cards > 0) {
-          ok = getrf_offload(fresh->lu.view(), fresh->ipiv, nb, cfg);
+          // Trailing updates through the offload engine (cards +
+          // reliability protocol): the path chaos tests use to kill a card
+          // mid-factorization. Dead-card re-homing never changes a bit.
+          core::FunctionalOffloadConfig oc;
+          oc.cards = cfg.factor_cards;
+          oc.injector = cfg.injector;
+          ok = blas::getrf_stages<double>(fresh->lu.view(), fresh->ipiv, nb,
+                                          {}, core::OffloadUpdate{oc});
         } else if (cfg.factor_workers > 1) {
           ok = lu::dag_lu_factor(fresh->lu.view(), fresh->ipiv, nb,
                                  cfg.factor_workers);

@@ -1,0 +1,308 @@
+// Differential test of the LU stage engine (blas/getrf.h): every client —
+// getrf_blocked serial and pooled, the DAG executor, the stage loop with the
+// offload-engine update under each look-ahead schedule, and the solve
+// server's offload path — must produce factors and pivots bitwise equal to
+// getrf_blocked. getrf_blocked itself and the hybrid driver's residual are
+// pinned to hashes captured before the drivers shared one engine, so the
+// oracle cannot drift along with its clients.
+#include "blas/getrf.h"
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "core/hybrid_functional.h"
+#include "core/offload_functional.h"
+#include "lu/functional.h"
+#include "serve/server.h"
+#include "util/matrix.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
+
+namespace xphi::blas {
+namespace {
+
+struct Shape {
+  std::size_t n, nb;
+  // FNV-1a of getrf_blocked's factors then pivots, fp64 and fp32.
+  std::uint64_t f64_hash, f32_hash;
+};
+
+constexpr Shape kShapes[] = {
+    {150, 32, 0xfd974cbd56e06dbbull, 0xf24568a56cfe49e6ull},
+    {97, 16, 0xc9c9025f7d67e2d6ull, 0x325306c6c5b5c45full},
+    {256, 64, 0x8ee40b4c7af5b0b0ull, 0x5b4a73327b005eecull},
+    {20, 64, 0x4d1bbecf442b51c3ull, 0x8d95fa2ce0e84097ull},
+};
+
+std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t len) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+template <class T>
+struct Factors {
+  util::Matrix<T> lu;
+  std::vector<std::size_t> ipiv;
+  bool ok = false;
+
+  std::uint64_t hash() const {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::size_t r = 0; r < lu.rows(); ++r)
+      h = fnv1a(h, lu.data() + r * lu.ld(), lu.cols() * sizeof(T));
+    for (std::size_t p : ipiv) {
+      const std::uint64_t v = p;
+      h = fnv1a(h, &v, sizeof v);
+    }
+    return h;
+  }
+};
+
+/// The seeded HPL matrix of a shape (fp32: the demoted fp64 matrix).
+template <class T>
+util::Matrix<T> input(std::size_t n) {
+  util::Matrix<double> a(n, n);
+  util::fill_hpl_matrix(a.view(), 1000 + n);
+  util::Matrix<T> out(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c) out(r, c) = static_cast<T>(a(r, c));
+  return out;
+}
+
+/// Rank one with power-of-two row scales: elimination cancels exactly, so
+/// the second pivot is an exact zero.
+template <class T>
+util::Matrix<T> rank_one(std::size_t n) {
+  util::Matrix<T> out(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    for (std::size_t c = 0; c < n; ++c)
+      out(r, c) = static_cast<T>((1u << (r % 4)) * ((c % 5) + 1));
+  return out;
+}
+
+template <class T, class Factor>
+Factors<T> run(util::Matrix<T> a, Factor&& factor) {
+  Factors<T> f{std::move(a), {}, false};
+  f.ipiv.assign(f.lu.rows(), 0);
+  f.ok = factor(f.lu.view(), std::span<std::size_t>(f.ipiv));
+  return f;
+}
+
+template <class T>
+void expect_bitwise(const Factors<T>& want, const Factors<T>& got,
+                    const char* client) {
+  ASSERT_TRUE(got.ok) << client;
+  EXPECT_EQ(got.ipiv, want.ipiv) << client;
+  EXPECT_EQ(std::memcmp(got.lu.data(), want.lu.data(),
+                        sizeof(T) * want.lu.rows() * want.lu.ld()),
+            0)
+      << client;
+}
+
+/// Every client of one precision, by name, as factor(view, ipiv, nb).
+template <class T>
+struct Client {
+  const char* name;
+  bool (*factor)(util::MatrixView<T>, std::span<std::size_t>, std::size_t);
+};
+
+template <class T>
+std::vector<Client<T>> dag_clients() {
+  return {
+      {"dag 1 worker",
+       [](util::MatrixView<T> a, std::span<std::size_t> p, std::size_t nb) {
+         return lu::dag_lu_factor_t<T>(a, p, nb, 1);
+       }},
+      {"dag 4 workers",
+       [](util::MatrixView<T> a, std::span<std::size_t> p, std::size_t nb) {
+         return lu::dag_lu_factor_t<T>(a, p, nb, 4);
+       }},
+  };
+}
+
+/// The stage loop with the offload-engine update on 2 cards, under the
+/// look-ahead schedule kSubsets (0 = none).
+template <int kSubsets, bool kSteals>
+bool offload_client(util::MatrixView<double> a, std::span<std::size_t> ipiv,
+                    std::size_t nb) {
+  core::FunctionalOffloadConfig oc;
+  oc.cards = 2;
+  oc.host_steals = kSteals;
+  oc.knobs.mt = 24;
+  oc.knobs.nt = 24;
+  return getrf_stages<double>(a, ipiv, nb, {}, core::OffloadUpdate{oc},
+                              kSubsets);
+}
+
+std::vector<Client<double>> fp64_clients() {
+  std::vector<Client<double>> out = dag_clients<double>();
+  out.push_back({"blocked ThreadPool(3)",
+                 [](util::MatrixView<double> a, std::span<std::size_t> p,
+                    std::size_t nb) {
+                   util::ThreadPool pool(3);
+                   return getrf_blocked<double>(a, p, nb, &pool);
+                 }});
+  out.push_back({"offload none steals", offload_client<0, true>});
+  out.push_back({"offload none", offload_client<0, false>});
+  out.push_back({"offload basic steals", offload_client<1, true>});
+  out.push_back({"offload basic", offload_client<1, false>});
+  out.push_back({"offload pipelined steals", offload_client<4, true>});
+  out.push_back({"offload pipelined", offload_client<4, false>});
+  return out;
+}
+
+template <class T>
+Factors<T> blocked(const Shape& s) {
+  return run<T>(input<T>(s.n), [&](util::MatrixView<T> a,
+                                   std::span<std::size_t> p) {
+    return getrf_blocked<T>(a, p, s.nb);
+  });
+}
+
+TEST(StageEngine, BlockedOracleMatchesPinnedHashes) {
+  for (const Shape& s : kShapes) {
+    const auto f64 = blocked<double>(s);
+    const auto f32 = blocked<float>(s);
+    ASSERT_TRUE(f64.ok && f32.ok) << s.n << "x" << s.nb;
+    EXPECT_EQ(f64.hash(), s.f64_hash) << s.n << "x" << s.nb;
+    EXPECT_EQ(f32.hash(), s.f32_hash) << s.n << "x" << s.nb;
+  }
+}
+
+TEST(StageEngine, Fp64ClientsBitwiseEqualBlocked) {
+  for (const Shape& s : kShapes) {
+    SCOPED_TRACE(testing::Message() << s.n << "x" << s.nb);
+    const auto want = blocked<double>(s);
+    for (const auto& client : fp64_clients()) {
+      const auto got = run<double>(
+          input<double>(s.n),
+          [&](util::MatrixView<double> a, std::span<std::size_t> p) {
+            return client.factor(a, p, s.nb);
+          });
+      expect_bitwise(want, got, client.name);
+    }
+  }
+}
+
+TEST(StageEngine, Fp32DagBitwiseEqualBlocked) {
+  for (const Shape& s : kShapes) {
+    SCOPED_TRACE(testing::Message() << s.n << "x" << s.nb);
+    const auto want = blocked<float>(s);
+    for (const auto& client : dag_clients<float>()) {
+      const auto got = run<float>(
+          input<float>(s.n),
+          [&](util::MatrixView<float> a, std::span<std::size_t> p) {
+            return client.factor(a, p, s.nb);
+          });
+      expect_bitwise(want, got, client.name);
+    }
+  }
+}
+
+TEST(StageEngine, LookaheadStatsCountStagesAndSubsets) {
+  // n=150, nb=32: five panels, four look-aheads. Per stage the next panel's
+  // columns, then the rest (86, 54, 22 and 0 columns) in k subsets.
+  const std::size_t n = 150, nb = 32;
+  for (const auto& [subsets, updates] :
+       {std::pair<int, std::size_t>{1, 4 + 3}, {3, 4 + 3 * 3}}) {
+    auto a = input<double>(n);
+    std::vector<std::size_t> ipiv(n);
+    StageLoopStats st;
+    core::FunctionalOffloadConfig oc;
+    ASSERT_TRUE(getrf_stages<double>(a.view(), ipiv, nb, {},
+                                     core::OffloadUpdate{oc}, subsets, &st));
+    EXPECT_EQ(st.lookahead_panels, 4u);
+    EXPECT_EQ(st.column_updates, updates) << subsets << " subsets";
+  }
+}
+
+TEST(StageEngine, ServerOffloadPathBitwiseEqualBlocked) {
+  for (const Shape& s : kShapes) {
+    SCOPED_TRACE(testing::Message() << s.n << "x" << s.nb);
+    serve::Job job;
+    job.n = s.n;
+    job.matrix_seed = 1000 + s.n;
+    job.rhs_seed = 77;
+    serve::ServeConfig cfg;
+    cfg.workers = 1;
+    cfg.nb = s.nb;
+    cfg.factor_cards = 2;
+    const serve::ServeReport report = serve::run_server({job}, cfg);
+    ASSERT_EQ(report.jobs.size(), 1u);
+    ASSERT_FALSE(report.jobs[0].rejected);
+
+    auto want = blocked<double>(s);
+    std::vector<double> x(s.n);
+    util::Rng rng(job.rhs_seed);
+    for (auto& v : x) v = rng.next_centered();
+    lu_solve_vector<double>(want.lu.view(), want.ipiv, x);
+    ASSERT_EQ(report.jobs[0].x.size(), s.n);
+    EXPECT_EQ(std::memcmp(report.jobs[0].x.data(), x.data(),
+                          sizeof(double) * s.n),
+              0);
+  }
+}
+
+TEST(StageEngine, HybridResidualMatchesPinnedBits) {
+  struct Pin {
+    std::size_t n, nb;
+    int cards;
+    std::uint64_t residual_bits;
+  };
+  const Pin pins[] = {{150, 32, 1, 0x3f70e4b6702d65fcull},
+                      {97, 16, 2, 0x3f74a9c9f5508a27ull}};
+  for (const Pin& pin : pins) {
+    for (auto scheme : {core::FunctionalScheme::kNoLookahead,
+                        core::FunctionalScheme::kBasic,
+                        core::FunctionalScheme::kPipelined}) {
+      core::HybridFunctionalConfig cfg;
+      cfg.n = pin.n;
+      cfg.nb = pin.nb;
+      cfg.offload.cards = pin.cards;
+      cfg.scheme = scheme;
+      const auto res = core::run_functional_hybrid_hpl(cfg, 42);
+      ASSERT_TRUE(res.ok);
+      std::uint64_t bits;
+      std::memcpy(&bits, &res.residual, sizeof bits);
+      EXPECT_EQ(bits, pin.residual_bits)
+          << pin.n << "x" << pin.nb << " scheme " << static_cast<int>(scheme);
+    }
+  }
+}
+
+TEST(StageEngine, RankOneFailsEveryClientWithoutThrowing) {
+  for (const Shape& s : kShapes) {
+    SCOPED_TRACE(testing::Message() << s.n << "x" << s.nb);
+    auto serial = [&](util::MatrixView<double> a, std::span<std::size_t> p) {
+      return getrf_blocked<double>(a, p, s.nb);
+    };
+    EXPECT_NO_THROW(EXPECT_FALSE(run<double>(rank_one<double>(s.n), serial).ok));
+    for (const auto& client : fp64_clients()) {
+      EXPECT_NO_THROW(EXPECT_FALSE(
+          run<double>(rank_one<double>(s.n),
+                      [&](util::MatrixView<double> a, std::span<std::size_t> p) {
+                        return client.factor(a, p, s.nb);
+                      })
+              .ok))
+          << client.name;
+    }
+    for (const auto& client : dag_clients<float>()) {
+      EXPECT_NO_THROW(EXPECT_FALSE(
+          run<float>(rank_one<float>(s.n),
+                     [&](util::MatrixView<float> a, std::span<std::size_t> p) {
+                       return client.factor(a, p, s.nb);
+                     })
+              .ok))
+          << client.name;
+    }
+  }
+}
+
+}  // namespace
+}  // namespace xphi::blas
