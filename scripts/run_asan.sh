@@ -4,9 +4,15 @@
 # Covers the coroutine rank scheduler and World messaging layer (mmap'd
 # stacks, deadline bookkeeping shared across workers), the BLAS kernels and
 # pack cache, the panel critical path, the DAG LU executor, the offload
-# engine and hybrid driver, the solve server, and the LU stage engine's
-# differential test — the code paths where a lifetime bug would be a read of
+# engine and hybrid driver, the solve server, the LU stage engine's
+# differential test and the mixed-precision solver (the float DAG via
+# factor_workers) — the code paths where a lifetime bug would be a read of
 # freed or out-of-bounds memory rather than a wrong number.
+#
+# test_fault stays out until the coroutine stacks carry ASan fiber
+# annotations: Chaos.DeadRankSurfacesAsRecvTimeoutDiagnostic throws on a
+# ucontext rank stack, and ASan's no-return handler then reports a
+# stack-buffer-overflow inside sigaltstack that is not a bug in the code.
 # CI-runnable: exits non-zero on any ASan report or test failure.
 set -euo pipefail
 
@@ -16,7 +22,8 @@ BUILD_DIR="${BUILD_DIR:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DXPHI_SANITIZE=address -DCMAKE_BUILD_TYPE= \
   >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target test_net test_blas test_panel test_lu test_core test_serve test_stage_engine
+  --target test_net test_blas test_panel test_lu test_core test_serve \
+  test_stage_engine test_mixed
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_net"  # messaging layer + coroutine scheduler
@@ -26,5 +33,6 @@ export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_core"
 "$BUILD_DIR/tests/test_serve"
 "$BUILD_DIR/tests/test_stage_engine"
+"$BUILD_DIR/tests/test_mixed"
 
 echo "ASan: all monitored suites clean."

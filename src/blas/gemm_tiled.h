@@ -101,6 +101,13 @@ void micro_kernel_rt(const T* a_tile, const T* b_tile, std::size_t k, T alpha,
   }
 }
 
+/// Packed-tile geometry of a micro-kernel: the A-tile height and the B-tile
+/// width (the shape's tile_rows and N_r).
+struct TileGeometry {
+  std::size_t rows = kTileRows;
+  std::size_t cols = kTileCols;
+};
+
 /// Performance knobs of the tiled GEMM. Every field is bitwise-neutral
 /// except chunk_k (each k-chunk is a separately rounded rank-kc update);
 /// mc/nc/kernel only change execution order and instruction selection.
@@ -130,23 +137,22 @@ namespace detail {
 template <class T>
 struct MicroDispatch {
   mk::Selection<T> sel;
-  std::size_t tile_rows = kTileRows;
-  std::size_t tile_cols = kTileCols;
+  TileGeometry tile;
 
   void operator()(const T* a_tile, const T* b_tile, std::size_t k, T alpha,
                   T beta, T* c, std::size_t ldc, std::size_t rows,
                   std::size_t cols) const {
     if (sel) {
-      if (rows == tile_rows && cols == tile_cols) {
+      if (rows == tile.rows && cols == tile.cols) {
         sel.fns.full(a_tile, b_tile, k, alpha, beta, c, ldc);
       } else {
         sel.fns.masked(a_tile, b_tile, k, alpha, beta, c, ldc, rows, cols);
       }
-    } else if (tile_rows == kTileRows && tile_cols == kTileCols) {
+    } else if (tile.rows == kTileRows && tile.cols == kTileCols) {
       micro_kernel<T>(a_tile, b_tile, k, alpha, beta, c, ldc, rows, cols);
     } else {
-      micro_kernel_rt<T>(a_tile, b_tile, k, alpha, beta, c, ldc, tile_rows,
-                         tile_cols, rows, cols);
+      micro_kernel_rt<T>(a_tile, b_tile, k, alpha, beta, c, ldc, tile.rows,
+                         tile.cols, rows, cols);
     }
   }
 };
@@ -163,10 +169,7 @@ MicroDispatch<T> resolve_dispatch(int kernel, const char* kernel_spec) {
   } else {
     d.sel = mk::select_kernel<T>(kernel);
   }
-  if (d.sel) {
-    d.tile_rows = d.sel.tile_rows();
-    d.tile_cols = d.sel.nr();
-  }
+  if (d.sel) d.tile = {d.sel.tile_rows(), d.sel.nr()};
   return d;
 }
 
@@ -189,8 +192,8 @@ void gemm_block(T alpha, util::MatrixView<const T> a,
   PackedA<T> pa[2];
   PackedB<T> pb[2];
   const std::size_t kc0 = std::min(chunk_k, big_k);
-  pa[0].pack(a.block(0, 0, a.rows(), kc0), micro.tile_rows, pool);
-  pb[0].pack(b.block(0, 0, kc0, b.cols()), micro.tile_cols, pool);
+  pa[0].pack(a.block(0, 0, a.rows(), kc0), micro.tile.rows, pool);
+  pb[0].pack(b.block(0, 0, kc0, b.cols()), micro.tile.cols, pool);
   std::size_t cur = 0;
   for (std::size_t k0 = 0; k0 < big_k; k0 += chunk_k) {
     const std::size_t next_k0 = k0 + chunk_k;
@@ -205,9 +208,9 @@ void gemm_block(T alpha, util::MatrixView<const T> a,
     if (has_next) {
       const std::size_t kc = std::min(chunk_k, big_k - next_k0);
       a_tiles = pa[nxt].prepare(a.block(0, next_k0, a.rows(), kc),
-                                micro.tile_rows);
+                                micro.tile.rows);
       b_tiles = pb[nxt].prepare(b.block(next_k0, 0, kc, b.cols()),
-                                micro.tile_cols);
+                                micro.tile.cols);
     }
     auto fused = [&](std::size_t task) {
       if (task < op_tasks) {
@@ -237,20 +240,32 @@ void gemm_block(T alpha, util::MatrixView<const T> a,
 
 }  // namespace detail
 
+/// The tile geometry gemm_tiled packs at for this kernel choice (registry
+/// shape id, optional forcing spec; the XPHI_MICROKERNEL pin wins, as in
+/// gemm_tiled). Callers that pack operands ahead of time — the offload
+/// engine's PackCache panels, the DAG LU's L21 and U12 — pack at this
+/// geometry, so outer_product_packed resolves the same kernel gemm_tiled
+/// runs. kTileRows x kTileCols only when T has no registry kernel.
+template <class T>
+TileGeometry dispatched_tile(int kernel = 0,
+                             const char* kernel_spec = nullptr) {
+  return detail::resolve_dispatch<T>(kernel, kernel_spec).tile;
+}
+
 /// One outer product over pre-packed operands:
 /// C(MxN) = alpha * Ai * Bi + beta * C.
 /// The pack layout is the caller's, so dispatch picks the widest registered
 /// kernel whose shape *matches* that layout (a `kernel` pin or the env
 /// override is honored when compatible); operands packed at a geometry no
-/// registered shape uses fall back to the template/scalar kernels.
+/// registered shape uses fall back to the template/scalar kernels. Operands
+/// packed at dispatched_tile<T>(kernel) run exactly gemm_tiled's kernel.
 template <class T>
 void outer_product_packed(T alpha, const PackedA<T>& a, const PackedB<T>& b,
                           T beta, util::MatrixView<T> c,
                           util::ThreadPool* pool = nullptr, int kernel = 0) {
   detail::MicroDispatch<T> micro;
   micro.sel = mk::select_for_tile<T>(a.tile_rows(), b.tile_cols(), kernel);
-  micro.tile_rows = a.tile_rows();
-  micro.tile_cols = b.tile_cols();
+  micro.tile = {a.tile_rows(), b.tile_cols()};
   const std::size_t k = a.depth();
   const std::size_t col_tiles = b.tiles();
   auto body = [&](std::size_t task) {
@@ -292,9 +307,9 @@ void gemm_tiled(T alpha, util::MatrixView<const T> a,
   std::size_t mc = opt.mc;
   std::size_t nc = opt.nc;
   if (mc != 0)
-    mc = std::max(micro.tile_rows, mc / micro.tile_rows * micro.tile_rows);
+    mc = std::max(micro.tile.rows, mc / micro.tile.rows * micro.tile.rows);
   if (nc != 0)
-    nc = std::max(micro.tile_cols, nc / micro.tile_cols * micro.tile_cols);
+    nc = std::max(micro.tile.cols, nc / micro.tile.cols * micro.tile.cols);
   if (mc == 0 || mc > c.rows()) mc = c.rows();
   if (nc == 0 || nc > c.cols()) nc = c.cols();
   for (std::size_t jc = 0; jc < c.cols(); jc += nc) {

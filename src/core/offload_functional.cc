@@ -192,10 +192,11 @@ FunctionalOffloadStats offload_gemm_functional(
   };
 
   // "Coprocessor" threads: poll the request queue, verify the transfer,
-  // multiply packed tiles with the Basic Kernel 2-shaped micro kernel,
-  // return the checksummed product. A scripted death drops the card off the
-  // bus mid-request; the last survivor closes the request queue so the host
-  // stops treating the link as up.
+  // multiply the packed tiles with the kernel they were packed for (the one
+  // gemm_tiled dispatches for knobs.microkernel, so card, host-steal and
+  // absorb paths all run one kernel), return the checksummed product. A
+  // scripted death drops the card off the bus mid-request; the last survivor
+  // closes the request queue so the host stops treating the link as up.
   std::vector<std::thread> cards;
   cards.reserve(cfg.cards);
   for (int card = 0; card < cfg.cards; ++card) {
@@ -276,7 +277,10 @@ FunctionalOffloadStats offload_gemm_functional(
   // Main thread plays the designated pack/DMA cores: steal from the front,
   // pack operands into the Knights Corner format, enqueue. The cache bounds
   // live packs to a few panels beyond the tiles in flight; a grid row's
-  // A panel and a grid column's B panel are each packed exactly once.
+  // A panel and a grid column's B panel are each packed exactly once, at the
+  // tile geometry of the kernel gemm_tiled dispatches for the same knob.
+  const blas::TileGeometry geom =
+      blas::dispatched_tile<double>(knobs.microkernel);
   blas::PackCache<double> packs(
       knobs.pack_cache_entries != 0
           ? knobs.pack_cache_entries
@@ -300,8 +304,8 @@ FunctionalOffloadStats offload_gemm_functional(
   std::size_t total_card_tiles = 0;
   while (auto idx = grid.steal_front()) {
     const Tile& t = grid.tile(*idx);
-    auto pa = packs.get_a(a.block(t.r0, 0, t.rows, k));
-    auto pb = packs.get_b(b.block(0, t.c0, k, t.cols));
+    auto pa = packs.get_a(a.block(t.r0, 0, t.rows, k), 0, geom.rows);
+    auto pb = packs.get_b(b.block(0, t.c0, k, t.cols), 0, geom.cols);
     {
       std::lock_guard lk(trk.mu);
       TileTracker::Entry& e = trk.entries[*idx];

@@ -25,6 +25,9 @@ struct Shared {
   std::size_t nb;
   PanelDag* dag;
   blas::PanelOptions panel;
+  // Pack geometry of the kernel gemm_tiled dispatches for panel.microkernel:
+  // L21 and U12 are packed at it, so every update runs that kernel.
+  blas::TileGeometry tile;
   // Every update task of stage i multiplies against the same L21 panel; the
   // cache (keyed by stage) packs it once per stage instead of once per task.
   // A handful of entries suffices: look-ahead keeps only a few stages live.
@@ -60,9 +63,9 @@ void execute_task(const Task& task, Shared<T>& sh) {
       sh.a, sh.ipiv, r0, std::min(nb, n - r0), c0, std::min(nb, n - c0),
       sh.panel,
       [&](MatrixView<const T> l21, MatrixView<const T> u, MatrixView<T> a22) {
-        const auto pl21 = sh.packs.get_a(l21, /*tag=*/task.stage);
+        const auto pl21 = sh.packs.get_a(l21, /*tag=*/task.stage, sh.tile.rows);
         thread_local blas::PackedB<T> pu;
-        pu.pack(u);
+        pu.pack(u, sh.tile.cols);
         blas::outer_product_packed<T>(T(-1), *pl21, pu, T(1), a22,
                                       /*pool=*/nullptr, sh.panel.microkernel);
       });
@@ -91,7 +94,8 @@ bool dag_lu_factor_t(MatrixView<T> a, std::span<std::size_t> ipiv,
   const std::size_t num_panels = (n + nb - 1) / nb;
   PanelDag dag(num_panels);
   panel.pool = nullptr;  // the DAG workers are the parallelism
-  Shared<T> sh{a, ipiv, nb, &dag, panel};
+  Shared<T> sh{a, ipiv, nb, &dag, panel,
+               blas::dispatched_tile<T>(panel.microkernel)};
 
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(std::max(1, workers)) - 1);

@@ -187,6 +187,46 @@ TEST(MicrokernelRegistry, EnvPinBeatsKnob) {
   }
 }
 
+/// Widest ISA tier this host can execute.
+mk::Isa host_tier() {
+  const auto& f = mk::host_cpu_features();
+  if (f.avx512f) return mk::Isa::kAvx512;
+  if (f.avx2 && f.fma) return mk::Isa::kAvx2;
+  return mk::Isa::kGeneric;
+}
+
+/// The invariant the packed-operand callers (offload engine, DAG LU) rely
+/// on: operands packed at dispatched_tile(id) and dispatched through
+/// select_for_tile(..., id) run the kernel gemm_tiled picks for that id.
+template <class T>
+void expect_tile_round_trip() {
+  std::vector<int> ids{0};
+  for (const auto& k : mk::registry<T>()) ids.push_back(k.shape.id);
+  for (const int id : ids) {
+    const mk::Selection<T> want = mk::select_kernel<T>(id);
+    ASSERT_TRUE(static_cast<bool>(want)) << "knob id " << id;
+    const TileGeometry tile = dispatched_tile<T>(id);
+    EXPECT_EQ(tile.rows, want.tile_rows()) << "knob id " << id;
+    EXPECT_EQ(tile.cols, want.nr()) << "knob id " << id;
+    const mk::Selection<T> got = mk::select_for_tile<T>(tile.rows, tile.cols,
+                                                        id);
+    ASSERT_TRUE(static_cast<bool>(got)) << "knob id " << id;
+    EXPECT_EQ(got.id(), want.id()) << "knob id " << id;
+    EXPECT_EQ(got.isa, want.isa) << "knob id " << id;
+  }
+}
+
+/// Unpinned, this covers the widest host tier; the
+/// microkernel_tile_roundtrip_<tier> ctest entries re-run it with
+/// XPHI_MICROKERNEL=auto@<tier> for each tier.
+TEST(MicrokernelRegistry, DispatchedTileRoundTrips) {
+  if (static_cast<int>(mk::select_kernel<double>(0).isa) >
+      static_cast<int>(host_tier()))
+    GTEST_SKIP() << "pinned tier not supported by this host";
+  expect_tile_round_trip<double>();
+  expect_tile_round_trip<float>();
+}
+
 TEST(MicrokernelBitwise, EveryShapeAndIsaMatchesReference) {
   for (const auto& k : mk::registry<double>()) {
     const std::size_t mr = k.shape.mr, nr = k.shape.nr, tr = k.shape.tile_rows;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "blas/gemm_ref.h"
+#include "blas/gemm_tiled.h"
 #include "util/rng.h"
 
 namespace xphi::core {
@@ -97,6 +100,54 @@ TEST(OffloadFunctional, RepeatedRunsDeterministicResult) {
   offload_gemm_functional(1.0, a.view(), b.view(), c1.view(), cfg);
   offload_gemm_functional(1.0, a.view(), b.view(), c2.view(), cfg);
   EXPECT_EQ(util::max_abs_diff<double>(c1.view(), c2.view()), 0.0);
+}
+
+TEST(OffloadFunctional, EveryKernelPinBitwiseEqualsGemmTiled) {
+  // The engine packs at the tile geometry gemm_tiled dispatches for
+  // knobs.microkernel, so card tiles and host steals run that kernel; with
+  // one k-chunk every tile is bitwise gemm_tiled's answer, whatever the pin.
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  for (const int id : {0, 308, 408, 608, 806, 412, 808}) {
+    for (const Shape s : {Shape{97, 131, 64}, {64, 64, 64}, {150, 20, 17}}) {
+      Matrix<double> a(s.m, s.k), b(s.k, s.n), want(s.m, s.n);
+      util::fill_hpl_matrix(a.view(), 11);
+      util::fill_hpl_matrix(b.view(), 12);
+      util::fill_hpl_matrix(want.view(), 13);
+      Matrix<double> c0(s.m, s.n);
+      for (std::size_t r = 0; r < s.m; ++r)
+        for (std::size_t cc = 0; cc < s.n; ++cc) c0(r, cc) = want(r, cc);
+      blas::GemmOptions go;
+      go.chunk_k = s.k;
+      go.kernel = id;
+      blas::gemm_tiled<double>(-1.0, a.view(), b.view(), 1.0, want.view(), go);
+      for (const int cards : {1, 2}) {
+        for (const bool steals : {true, false}) {
+          SCOPED_TRACE(testing::Message()
+                       << "kernel " << id << " shape " << s.m << "x" << s.n
+                       << "x" << s.k << " cards " << cards << " steals "
+                       << steals);
+          Matrix<double> c(s.m, s.n);
+          for (std::size_t r = 0; r < s.m; ++r)
+            for (std::size_t cc = 0; cc < s.n; ++cc) c(r, cc) = c0(r, cc);
+          FunctionalOffloadConfig cfg;
+          cfg.knobs.microkernel = id;
+          cfg.cards = cards;
+          cfg.host_steals = steals;
+          const auto stats =
+              offload_gemm_functional(-1.0, a.view(), b.view(), c.view(), cfg);
+          EXPECT_EQ(stats.tiles_cards + stats.tiles_host, stats.tiles_total);
+          for (std::size_t r = 0; r < s.m; ++r)
+            ASSERT_EQ(std::memcmp(c.data() + r * c.ld(),
+                                  want.data() + r * want.ld(),
+                                  s.n * sizeof(double)),
+                      0)
+                << "row " << r;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
