@@ -15,8 +15,18 @@
 // block-model mc/kc/nc. The JSON carries the dispatched kernel name, the
 // probed CPU features, and the analytic blocking so the artifact explains
 // its own numbers.
+//
+// A third section measures every registered micro-kernel shape at every
+// ISA tier the host runs, fp64 and fp32: one thread calling the shape's
+// full-tile entry point (select_kernel_spec("MRxNR@tier"), then fns.full)
+// on L1-resident packed tiles. Each cell is the median of 7 batches, with
+// the batch min and max, one "microkernel" record per cell — the per-shape
+// table EXPERIMENTS.md quotes and the auto-dispatch preferences rest on.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "blas/block_model.h"
 #include "blas/gemm_tiled.h"
@@ -50,6 +60,69 @@ double measure_gemm_seconds(std::size_t n, xphi::blas::GemmOptions go,
     if (best < 0 || s < best) best = s;
   }
   return best;
+}
+
+/// Depth of the per-shape L1 measurement: A (tile_rows x 128), B (128 x N_r)
+/// and C stay in a 48 KiB L1d for every registered shape and type.
+constexpr std::size_t kShapeDepth = 128;
+constexpr int kShapeBatches = 7;
+constexpr int kShapeCallsPerBatch = 20000;
+
+/// One microkernel record per (shape, tier) the host can run for type T.
+template <class T>
+void measure_shapes(const char* type_name, xphi::util::Table& table,
+                    std::vector<xphi::bench::JsonRecord>& records) {
+  using namespace xphi;
+  util::Rng rng(7);
+  for (const auto& kern : blas::mk::registry<T>()) {
+    for (std::size_t isa = 0; isa < blas::mk::kIsaCount; ++isa) {
+      const auto tier = static_cast<blas::mk::Isa>(isa);
+      const std::string spec =
+          std::string(kern.shape.name) + "@" + blas::mk::isa_name(tier);
+      const auto sel = blas::mk::select_kernel_spec<T>(spec);
+      // Skip tiers this build or host cannot run (resolution degrades them).
+      if (!sel.has_value() || sel->isa != tier) continue;
+      const std::size_t tr = kern.shape.tile_rows, nr = kern.shape.nr;
+      util::AlignedBuffer<T> a(tr * kShapeDepth), b(kShapeDepth * nr),
+          c(tr * nr);
+      for (std::size_t i = 0; i < a.size(); ++i)
+        a[i] = static_cast<T>(rng.next_centered());
+      for (std::size_t i = 0; i < b.size(); ++i)
+        b[i] = static_cast<T>(rng.next_centered());
+      const auto full = sel->fns.full;
+      // beta = 0.5 keeps C bounded over the repeated calls.
+      full(a.data(), b.data(), kShapeDepth, T(1), T(0.5), c.data(), nr);
+      const double flops = 2.0 * tr * nr * kShapeDepth * kShapeCallsPerBatch;
+      std::vector<double> gf;
+      for (int batch = 0; batch < kShapeBatches; ++batch) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (int i = 0; i < kShapeCallsPerBatch; ++i)
+          full(a.data(), b.data(), kShapeDepth, T(1), T(0.5), c.data(), nr);
+        const double s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+        gf.push_back(flops / s * 1e-9);
+      }
+      std::sort(gf.begin(), gf.end());
+      const double median = gf[gf.size() / 2];
+      table.add_row({type_name, spec, util::Table::fmt(median, 1),
+                     util::Table::fmt(gf.front(), 1),
+                     util::Table::fmt(gf.back(), 1)});
+      records.push_back(bench::JsonRecord{}
+                            .str("record", "microkernel")
+                            .str("type", type_name)
+                            .str("shape", kern.shape.name)
+                            .str("tier", blas::mk::isa_name(tier))
+                            .num("tile_rows", static_cast<double>(tr))
+                            .num("nr", static_cast<double>(nr))
+                            .num("k", static_cast<double>(kShapeDepth))
+                            .num("batches", kShapeBatches)
+                            .num("calls_per_batch", kShapeCallsPerBatch)
+                            .num("gflops", median)
+                            .num("gflops_min", gf.front())
+                            .num("gflops_max", gf.back()));
+    }
+  }
 }
 
 }  // namespace
@@ -163,7 +236,16 @@ int main() {
                           .num("seconds", s_auto));
   }
   mtable.print("fig4_functional_dgemm.csv");
+
+  std::printf(
+      "\nMicro-kernel full tiles in L1 (one thread, k=%zu, median of %d "
+      "batches of %d calls)\n",
+      kShapeDepth, kShapeBatches, kShapeCallsPerBatch);
+  util::Table stable({"type", "shape@tier", "GF/s", "min", "max"});
+  measure_shapes<double>("fp64", stable, records);
+  measure_shapes<float>("fp32", stable, records);
+  stable.print("fig4_microkernel_shapes.csv");
   if (bench::write_json("BENCH_gemm.json", "fig4_functional_dgemm", records))
-    std::printf("\nWrote BENCH_gemm.json (GF/s per size).\n");
+    std::printf("\nWrote BENCH_gemm.json (GF/s per size and per shape).\n");
   return 0;
 }

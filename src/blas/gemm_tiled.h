@@ -1,14 +1,15 @@
 // Tiled GEMM over the Knights Corner packed format (paper Section III-A2),
 // dispatched through the runtime micro-kernel registry.
 //
-// The micro-kernel mirrors the structure of Basic Kernel 2: it accumulates a
-// (tile_rows x nr) block of C in a local array — the stand-in for the 30
-// accumulator vector registers — streaming one column of the packed `a` tile
-// and one row of the packed `b` tile per k-iteration. On the host this
-// compiles to ordinary auto-vectorized code; the cycle-accurate behaviour of
-// the real kernel lives in sim/pipeline.h. What this functional version
-// shares with the real one is the data layout, the loop structure, and the
-// numerics (verified against gemm_ref).
+// The micro-kernel mirrors the structure of Basic Kernel 2: it accumulates an
+// (M_r x nr) block of C in explicit vector registers — GCC vector-extension
+// values, one or more per C row, at most the dispatch tier's width (16 bytes
+// SSE2, 32 AVX2, 64 AVX-512) — streaming one column of the packed `a` tile
+// and one row of the packed `b` tile per k-iteration, the host analogue of
+// the paper's 30 accumulator registers. The cycle-accurate behaviour of the
+// real kernel lives in sim/pipeline.h. What this functional version shares
+// with the real one is the data layout, the register blocking, the loop
+// structure, and the numerics (verified against gemm_ref).
 //
 // PR 5 froze one 3x8 register block (the SSE2 envelope). The kernel shape is
 // now a runtime decision: mk::select_kernel picks the widest registered
@@ -43,8 +44,10 @@ namespace xphi::blas {
 // the fallback for element types without registry entries, and the layer
 // the unit tests pin directly. Registered types (double/float) normally
 // dispatch to per-ISA compiled copies of these same templates; this
-// namespace and those TUs share one source of truth (kernels_inl.h).
+// namespace and those TUs share one source of truth (kernels_inl.h). It
+// uses the baseline 16-byte vector width, which every build target has.
 namespace ukr {
+inline constexpr std::size_t kVectorBytes = 16;
 #include "blas/microkernel/kernels_inl.h"
 }  // namespace ukr
 
@@ -56,13 +59,18 @@ void micro_kernel_full(const T* a_tile, const T* b_tile, std::size_t k,
   ukr::ukr_full<T, kRb, kTc, kTr>(a_tile, b_tile, k, alpha, beta, c, ldc);
 }
 
+/// Register sub-block height of the inline kernels for a kTr-row tile.
+template <std::size_t kTr>
+inline constexpr std::size_t kInlineRb = kTr % kMicroRows == 0 ? kMicroRows
+                                                                : kTr;
+
 /// Masked path for edge tiles: writes only the live rows x cols corner.
 template <class T, std::size_t kTr = kTileRows, std::size_t kTc = kTileCols>
 void micro_kernel_masked(const T* a_tile, const T* b_tile, std::size_t k,
                          T alpha, T beta, T* c, std::size_t ldc,
                          std::size_t rows, std::size_t cols) {
-  ukr::ukr_masked<T, kTr, kTc>(a_tile, b_tile, k, alpha, beta, c, ldc, rows,
-                               cols);
+  ukr::ukr_masked<T, kInlineRb<kTr>, kTc, kTr>(a_tile, b_tile, k, alpha, beta,
+                                                c, ldc, rows, cols);
 }
 
 /// C(rows x cols) = alpha * (a_tile * b_tile) + beta_or_accumulate.
@@ -74,9 +82,8 @@ void micro_kernel(const T* a_tile, const T* b_tile, std::size_t k, T alpha,
                   T beta, T* c, std::size_t ldc, std::size_t rows,
                   std::size_t cols) {
   if (rows == kTr && cols == kTc) {
-    constexpr std::size_t kRb = kTr % kMicroRows == 0 ? kMicroRows : kTr;
-    micro_kernel_full<T, kTr, kTc, kRb>(a_tile, b_tile, k, alpha, beta, c,
-                                        ldc);
+    micro_kernel_full<T, kTr, kTc, kInlineRb<kTr>>(a_tile, b_tile, k, alpha,
+                                                   beta, c, ldc);
   } else {
     micro_kernel_masked<T, kTr, kTc>(a_tile, b_tile, k, alpha, beta, c, ldc,
                                      rows, cols);

@@ -6,4 +6,5 @@
 #define XPHI_MK_TU_NS isa_avx2
 #define XPHI_MK_TABLE_D avx2_table_d
 #define XPHI_MK_TABLE_F avx2_table_f
+#define XPHI_MK_VECTOR_BYTES 32
 #include "blas/microkernel/kernels_tu.inc"

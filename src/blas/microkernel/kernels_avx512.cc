@@ -5,4 +5,5 @@
 #define XPHI_MK_TU_NS isa_avx512
 #define XPHI_MK_TABLE_D avx512_table_d
 #define XPHI_MK_TABLE_F avx512_table_f
+#define XPHI_MK_VECTOR_BYTES 64
 #include "blas/microkernel/kernels_tu.inc"

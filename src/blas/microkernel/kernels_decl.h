@@ -6,13 +6,22 @@
 // shapes). The X-macro keeps the registry rows and the per-ISA function
 // tables in the same order without any runtime registration step.
 //
-//   3x8  — the PR 5 seed: 12 XMM accumulators, fits SSE2's 16-register file.
-//   4x8  — 16 ymm-halves; the portable middle ground.
-//   6x8  — 12 ymm accumulators + broadcasts/loads, the AVX2+FMA sweet spot
-//          (16 ymm available).
-//   8x6  — tall variant: trades B-row width for A-column reuse.
-//   4x12 — wide variant: 12 accumulators of 12, stresses B-stream bandwidth.
-//   8x8  — 16 zmm-halves / 8 zmm accumulators; the AVX-512 shape (32 zmm).
+// Accumulator vectors per shape, fp64, at the generic / avx2 / avx512
+// tiers (kernels_inl.h: each C row is Nr*8 bytes split into vectors of the
+// tier width, halved until it divides the row). SSE2 and AVX2 have 16
+// vector registers; AVX-512F has 32 zmm but, without AVX-512VL, still only
+// 16 addressable xmm/ymm.
+//   3x8  — 12 xmm / 6 ymm / 3 zmm; the seed shape, fits SSE2's file.
+//   4x8  — 16 xmm / 8 ymm / 4 zmm; the portable middle ground.
+//   6x8  — 24 xmm / 12 ymm / 6 zmm; the AVX2 shape.
+//   8x6  — 24 xmm at every tier (48-byte rows take 16-byte vectors): tall
+//          variant, trades B-row width for A-column reuse; spills.
+//   4x12 — 24 xmm / 12 ymm / 12 ymm (96-byte rows take 32-byte vectors at
+//          avx512); wide variant, stresses B-stream bandwidth.
+//   8x8  — 32 xmm / 16 ymm / 8 zmm; the AVX-512 shape.
+// fp32 rows are half as wide: Nr=8 is one 32-byte vector (two xmm at the
+// generic tier), Nr=12 three xmm and Nr=6 three 8-byte vectors at every
+// tier.
 #pragma once
 
 #include <cstddef>

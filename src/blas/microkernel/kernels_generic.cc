@@ -5,4 +5,5 @@
 #define XPHI_MK_TU_NS isa_generic
 #define XPHI_MK_TABLE_D generic_table_d
 #define XPHI_MK_TABLE_F generic_table_f
+#define XPHI_MK_VECTOR_BYTES 16
 #include "blas/microkernel/kernels_tu.inc"

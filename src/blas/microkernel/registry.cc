@@ -27,12 +27,12 @@ Isa host_max_isa() {
 
 /// Preferred shape id per (type, ISA tier). fp64: the shape whose
 /// accumulator block fills the tier's register file (see kernels_decl.h).
-/// fp32 prefers 4x8 at every tier: an Nr=8 float row is a single 256-bit
-/// vector regardless of ISA width, so the tall blocks (6x8, 8x8) gain no
-/// vector lanes — they only deepen the per-element mul+add dependency
-/// chains, which stall badly with contraction off (-ffp-contract=off, the
-/// determinism contract). The short 4x8 block keeps the chains dual-issued
-/// and runs ~2x the fp64 flop rate, which is the mixed-precision premise.
+/// fp32 prefers 4x8 at every tier: an Nr=8 float row is one 256-bit vector
+/// at the avx2 and avx512 tiers (two xmm at generic), so no fp32 shape has
+/// more lanes than 4x8, and in bench_fig4's per-shape L1 table
+/// (EXPERIMENTS.md) no taller fp32 block beats it beyond the run-to-run
+/// spread. Neither preference is a numerics choice: every shape is bitwise
+/// identical (kernels_inl.h).
 template <class T>
 int preferred_shape_id(Isa isa) {
   if constexpr (std::is_same_v<T, float>) {

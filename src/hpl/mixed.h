@@ -1,8 +1,8 @@
 // Mixed-precision HPL (HPL-AI style) on the shared-memory drivers: demote A
 // to fp32, factor through the float instantiation of the blocked / DAG LU
-// stack (the float microkernel tables at ~2x the fp64 flop rate, with
-// fp32-sized mc/kc/nc from the analytic cache model), then recover the fp64
-// answer by iterative refinement:
+// stack (the float microkernel tables, with fp32-sized mc/kc/nc from the
+// analytic cache model), then recover the fp64 answer by iterative
+// refinement:
 //
 //   x0 = U32^-1 L32^-1 P b          (solve through the fp32 factors)
 //   repeat: r = b - A x   in fp64   (A is the original fp64 matrix)

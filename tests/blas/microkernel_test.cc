@@ -8,6 +8,8 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "blas/lu_kernels.h"
 #include "blas/microkernel/cpu_features.h"
 #include "blas/microkernel/registry.h"
+#include "util/aligned.h"
 #include "util/matrix.h"
 #include "util/rng.h"
 
@@ -328,6 +331,127 @@ TEST(MicrokernelBitwise, AllShapesAgree) {
   ASSERT_TRUE(have_first);
 }
 
+/// Non-finite operands injected by the direct-call harness. Each case
+/// carries one NaN bit pattern: the injected quiet NaN (kNan) or the
+/// default NaN that invalid operations such as Inf - Inf produce (kInf).
+/// IEEE 754 leaves the payload of an operation on two different NaNs open
+/// (x86 returns the first operand's), so mixing both could legally differ
+/// with operand order; one pattern per case keeps memcmp a valid oracle.
+enum class Special { kNone, kNan, kInf };
+
+struct DirectCase {
+  std::size_t k;
+  std::size_t b_off;  // element offset of the packed B tile from an aligned base
+  std::size_t c_off;  // element offset of C from an aligned base
+  std::size_t ldc;
+  std::size_t rows;  // live rows; < tile_rows (or cols < nr) takes fns.masked
+  std::size_t cols;
+  Special special;
+  double beta;
+};
+
+/// Calls one (shape, tier)'s entry point on hand-packed operands and
+/// compares the whole C buffer — live corner, row gaps and the elements
+/// before C — with gemm_ref on the same operands, byte for byte.
+template <class T>
+void expect_direct_matches_reference(const mk::Selection<T>& sel,
+                                     const DirectCase& dc,
+                                     std::uint64_t seed) {
+  const std::size_t tr = sel.tile_rows(), nr = sel.nr(), k = dc.k;
+  Matrix<T> a(dc.rows, k), b(k, dc.cols);
+  fill_random<T>(a.view(), seed);
+  fill_random<T>(b.view(), seed ^ 0x51);
+  const std::size_t c_len = dc.c_off + (dc.rows - 1) * dc.ldc + nr;
+  util::AlignedBuffer<T> c(c_len);
+  {
+    util::Rng rng(seed ^ 0xc3);
+    for (std::size_t i = 0; i < c_len; ++i)
+      c[i] = static_cast<T>(rng.next_centered());
+  }
+  MatrixView<T> cv(c.data() + dc.c_off, dc.rows, dc.cols, dc.ldc);
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  const T inf = std::numeric_limits<T>::infinity();
+  if (dc.special == Special::kNan) {
+    a(dc.rows - 1, k / 2) = nan;
+    b(k - 1, 0) = nan;
+    cv(0, dc.cols - 1) = nan;
+  } else if (dc.special == Special::kInf) {
+    a(0, 0) = inf;
+    b(k - 1, dc.cols - 1) = -inf;  // meets a(0, 0)'s Inf row: Inf - Inf
+    cv(dc.rows - 1, 0) = inf;
+  }
+  // Zero-padded packing, as PackedA/PackedB produce for edge tiles.
+  util::AlignedBuffer<T> pa(tr * k), pb(dc.b_off + k * nr);
+  for (std::size_t j = 0; j < k; ++j)
+    for (std::size_t r = 0; r < dc.rows; ++r) pa[j * tr + r] = a(r, j);
+  T* b_tile = pb.data() + dc.b_off;
+  for (std::size_t j = 0; j < k; ++j)
+    for (std::size_t c2 = 0; c2 < dc.cols; ++c2)
+      b_tile[j * nr + c2] = b(j, c2);
+
+  util::AlignedBuffer<T> want(c_len);
+  std::memcpy(want.data(), c.data(), c_len * sizeof(T));
+  gemm_ref<T>(T(1.5), a.view(), b.view(), T(dc.beta),
+              MatrixView<T>(want.data() + dc.c_off, dc.rows, dc.cols, dc.ldc));
+  if (dc.rows == tr && dc.cols == nr) {
+    sel.fns.full(pa.data(), b_tile, k, T(1.5), T(dc.beta), cv.data(), dc.ldc);
+  } else {
+    sel.fns.masked(pa.data(), b_tile, k, T(1.5), T(dc.beta), cv.data(),
+                   dc.ldc, dc.rows, dc.cols);
+  }
+  EXPECT_EQ(std::memcmp(c.data(), want.data(), c_len * sizeof(T)), 0)
+      << sel.name() << " k=" << k << " b_off=" << dc.b_off
+      << " c_off=" << dc.c_off << " ldc=" << dc.ldc << " rows=" << dc.rows
+      << " cols=" << dc.cols << " special=" << static_cast<int>(dc.special)
+      << " beta=" << dc.beta;
+}
+
+/// What explicit vector code newly risks, per shape x runnable tier: loads
+/// and stores at odd element offsets (no alignment assumed), a C leading
+/// dimension that is no multiple of the vector lane count, and NaN/Inf
+/// propagation — including beta = 0 with NaN or Inf in C, where beta * c
+/// must still be computed exactly as gemm_ref computes it.
+template <class T>
+void expect_direct_calls_match_reference() {
+  std::size_t cases = 0;
+  for (const auto& kern : mk::registry<T>()) {
+    const std::size_t nr = kern.shape.nr, tr = kern.shape.tile_rows;
+    for (std::size_t isa = 0; isa < mk::kIsaCount; ++isa) {
+      const auto tier = static_cast<mk::Isa>(isa);
+      const auto sel = mk::select_kernel_spec<T>(
+          std::string(kern.shape.name) + "@" + mk::isa_name(tier));
+      if (!sel.has_value() || sel->isa != tier) continue;
+      // (b_off, c_off, ldc): aligned; odd offsets with ldc = nr + 1 and
+      // 2nr + 3 (odd, so never a lane-count multiple).
+      const std::size_t layouts[][3] = {
+          {0, 0, nr}, {1, 3, nr + 1}, {3, 1, 2 * nr + 3}};
+      // (rows, cols): the full tile, then two masked edges.
+      const std::size_t extents[][2] = {{tr, nr}, {tr - 1, nr - 1}, {1, 2}};
+      for (const std::size_t k : {std::size_t{1}, std::size_t{9}})
+        for (const auto& l : layouts)
+          for (const auto& e : extents)
+            for (const Special s : {Special::kNone, Special::kNan,
+                                    Special::kInf})
+              for (const double beta : {-0.5, 0.0}) {
+                const DirectCase dc{k, l[0], l[1], l[2], e[0], e[1], s, beta};
+                expect_direct_matches_reference<T>(*sel, dc,
+                                                   cases * 7919 + isa);
+                ++cases;
+              }
+    }
+  }
+  // At least every shape at the generic tier ran.
+  EXPECT_GE(cases, mk::kShapeCount * 108);
+}
+
+TEST(MicrokernelBitwise, DirectCallsMatchReferenceUnalignedAndNonFinite) {
+  expect_direct_calls_match_reference<double>();
+}
+
+TEST(MicrokernelBitwise, FloatDirectCallsMatchReferenceUnalignedAndNonFinite) {
+  expect_direct_calls_match_reference<float>();
+}
+
 TEST(MicrokernelBitwise, CacheBlockingIsBitwiseNeutral) {
   // mc/nc reorder whole register-block updates, never the k chain inside
   // one: any blocking must reproduce the unblocked bits exactly.
@@ -487,10 +611,9 @@ TEST(GemmDispatch, AutoDispatchReportsWidestTier) {
 
 TEST(GemmDispatch, FloatAutoDispatchPrefersShortBlock) {
   // fp32 auto-dispatch picks 4x8 at EVERY tier: an Nr=8 float row is one
-  // 256-bit vector regardless of ISA width, so the tall blocks only deepen
-  // the un-contracted mul+add chains (-ffp-contract=off) without adding
-  // lanes. This is what makes the fp32 factor ~2x the fp64 flop rate — the
-  // premise the mixed-precision solver's speedup gate stands on.
+  // 256-bit vector at the avx2/avx512 tiers, so no fp32 shape adds lanes,
+  // and no taller block beats 4x8 beyond its spread in bench_fig4's
+  // per-shape L1 table (registry.cc preferred_shape_id).
   for (const char* spec : {"auto@generic", "auto@avx2", "auto@avx512"}) {
     const auto sel = mk::select_kernel_spec<float>(spec);
     if (!sel.has_value()) continue;  // tier not runnable on this host
