@@ -1,8 +1,9 @@
 // Figure 8 companion: the three look-ahead schemes of the distributed HPL,
 // run *functionally* over net::World ranks (threads + messages) instead of
-// simulated — kNone (blocking, Fig 8a), kBasic (next panel hidden under the
-// trailing update, Fig 8b) and kPipelined (swap/DTRSM/U-broadcast streamed
-// over column subsets, Fig 8c).
+// simulated — kNone (next panel after the whole update, Fig 8a), kBasic
+// (next panel hidden under the trailing update, Fig 8b) and kPipelined (that
+// update split into column subsets, Fig 8c): one rank stage scheduled by a
+// look-ahead subset count.
 //
 // For each scheme the bench reports wall time, effective GF/s, the
 // cross-lane broadcast x GEMM overlap (the "communication hidden under

@@ -12,8 +12,8 @@
 //   - core::run_functional_hybrid_hpl and the serve worker's offload path:
 //     the stage loop with the offload-engine update (core::OffloadUpdate)
 //     under a Figure 8 look-ahead policy.
-// Distributed HPL keeps its own stage: its rank-local pieces interleave
-// with messages.
+// hpl::run_distributed_hpl schedules its rank stage by the same
+// look-ahead subset count; its row swaps and U blocks are messages.
 //
 // The kernels are the blocked critical-path ones from lu_kernels.h: the
 // recursive panel factorization, one SwapPlan per stage and column range

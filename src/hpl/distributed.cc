@@ -28,15 +28,15 @@ using util::Matrix;
 using util::MatrixView;
 
 // Message tags: each stage owns a kTagStride-wide window
-// (stage * kTagStride + base); the pipelined schemes add the column-subset
-// index to the U-broadcast and swap bases.
+// (stage * kTagStride + base).
 constexpr int kMaxSubsets = 16;
 constexpr int kTagStride = 64;
 constexpr int kTagPanelGather = 0;
 constexpr int kTagPanelBcast = 1;
 constexpr int kTagGather = 2;
-constexpr int kTagUBcast = 8;              // + subset
-constexpr int kTagSwap = 8 + kMaxSubsets;  // + subset
+constexpr int kTagSwap = 3;
+constexpr int kTagUFirst = 4;  // subset 0's U block
+constexpr int kTagURest = 5;   // the coalesced U block of the other subsets
 
 /// Global column range [g0, g1).
 struct ColSpan {
@@ -169,11 +169,9 @@ Payload assemble_and_factor(RankContext<T>& ctx, std::size_t bk,
   MatrixView<T> panel(assembled.data(), n - k0, pw, pw);
   std::vector<std::size_t> piv(pw);
   blas::PanelOptions popt;
-  if (ctx.options != nullptr) {
-    if (ctx.options->panel_nb_min != 0) popt.nb_min = ctx.options->panel_nb_min;
-    popt.laswp_col_chunk = ctx.options->laswp_col_chunk;
-    popt.microkernel = ctx.options->microkernel;
-  }
+  if (ctx.options->panel_nb_min != 0) popt.nb_min = ctx.options->panel_nb_min;
+  popt.laswp_col_chunk = ctx.options->laswp_col_chunk;
+  popt.microkernel = ctx.options->microkernel;
   const bool ok = blas::getrf_panel<T>(panel, piv, popt);
   assert(ok && "singular panel in distributed HPL");
   (void)ok;
@@ -187,57 +185,19 @@ Payload assemble_and_factor(RankContext<T>& ctx, std::size_t bk,
   return packet;
 }
 
-/// Blocking panel production for stage bk (the kNone path and stage 0 of
-/// the look-ahead schemes): gather to the stage root, factor there, and
-/// binomial-broadcast the packet to every rank.
-template <class T>
-Payload produce_packet_blocking(RankContext<T>& ctx, std::size_t bk) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const std::size_t n = dist.n();
-  const std::size_t nb = dist.nb();
-  const std::size_t k0 = bk * nb;
-  const std::size_t pw = std::min(nb, n - k0);
-  const int pc = static_cast<int>(bk % grid.q);
-  const int pr = static_cast<int>(bk % grid.p);
-  const int root = grid.rank_of(pr, pc);
-  const int stage_tag = static_cast<int>(bk) * kTagStride;
-
-  Payload packet;
-  if (ctx.pcol == pc) {
-    Payload mine = pack_panel_rows(ctx, k0, pw);
-    if (comm.rank() != root) {
-      comm.send(root, stage_tag + kTagPanelGather, std::move(mine));
-    } else {
-      packet = assemble_and_factor(ctx, bk, std::move(mine));
-    }
-  }
-  std::vector<int> everyone(grid.ranks());
-  for (int r = 0; r < grid.ranks(); ++r) everyone[r] = r;
-  const double t0 = ctx.now();
-  // Every rank derives the same packet length from the stage geometry
-  // ([pw pivots | (n-k0) x pw factors]), which is what lets the adaptive
-  // dispatch agree group-wide before receivers hold any bytes.
-  packet = comm.bcast_auto(root, everyone, std::move(packet),
-                           stage_tag + kTagPanelBcast, pw + (n - k0) * pw);
-  ctx.record(SpanKind::kBroadcast, t0);
-  return packet;
-}
-
-/// Pending look-ahead panel: either the packet itself (the factoring root)
-/// or an irecv Request for it (everyone else).
+/// Pending panel: either the packet itself (the factoring root) or an irecv
+/// Request for it (everyone else).
 struct PanelLaunch {
   bool have = false;
   Payload packet;
   Request req;
 };
 
-/// Look-ahead start of stage nbk's panel: panel-column ranks isend their
-/// rows to the stage root; the root assembles, factors, and isends the
-/// packet to every other rank (flat fan-out — the pipelined broadcast depth
-/// is the simulator's concern, the functional path needs the overlap
-/// structure); everyone else posts an irecv and keeps computing.
+/// Start of stage nbk's panel: panel-column ranks isend their rows to the
+/// stage root; the root assembles, factors, and isends the packet to every
+/// other rank (flat fan-out — the pipelined broadcast depth is the
+/// simulator's concern, the functional path needs the overlap structure);
+/// everyone else posts an irecv and keeps computing.
 template <class T>
 PanelLaunch start_panel(RankContext<T>& ctx, std::size_t nbk) {
   const BlockCyclic& dist = *ctx.dist;
@@ -298,7 +258,13 @@ void write_back_panel(RankContext<T>& ctx, std::size_t k0, std::size_t pw,
 
 /// Applies the stage's row interchanges to the local columns covered by
 /// `ranges` (global column spans; the pw panel columns must not be inside
-/// them — they were already swapped during the panel factorization).
+/// them — they were already swapped during the panel factorization). Each
+/// interchange between two process rows is a point-to-point exchange of the
+/// row segments. Rank-local swaps are batched into a SwapPlan and applied in
+/// one fused cache-blocked pass per flush (blas::laswp_fused over each local
+/// column interval). Buffered swaps commute with remote exchanges this rank
+/// does not participate in; a remote exchange this rank *does* join may read
+/// or write a buffered row, so the plan flushes right before it.
 template <class T>
 void swap_rows_ranges(RankContext<T>& ctx, int tag, const double* ipiv_stage,
                       std::size_t k0, std::size_t pw,
@@ -312,163 +278,91 @@ void swap_rows_ranges(RankContext<T>& ctx, int tag, const double* ipiv_stage,
   if (width == 0) return;  // consistent across the process column
 
   const double t0 = ctx.now();
-  auto copy_row_segment = [&](std::size_t lr, Payload& out) {
-    for (const auto& [lo, hi] : iv)
-      for (std::size_t c = lo; c < hi; ++c)
-        out.push_back(static_cast<double>(ctx.local(lr, c)));
-  };
-  auto write_row_segment = [&](std::size_t lr, const double* in) {
-    std::size_t pos = 0;
-    for (const auto& [lo, hi] : iv)
-      for (std::size_t c = lo; c < hi; ++c)
-        ctx.local(lr, c) = static_cast<T>(in[pos++]);
-  };
-  const SwapAlgorithm swap_alg = ctx.options != nullptr
-                                     ? ctx.options->swap_algorithm
-                                     : SwapAlgorithm::kPairwise;
-  if (swap_alg == SwapAlgorithm::kPairwise) {
-    // Rank-local swaps are batched into a SwapPlan and applied in one fused
-    // cache-blocked pass per flush (blas::laswp_fused over each local column
-    // interval). Buffered swaps commute with remote exchanges this rank does
-    // not participate in; a remote exchange this rank *does* join may read or
-    // write a buffered row, so the plan flushes right before it.
-    std::size_t col_chunk = ctx.options != nullptr &&
-                                    ctx.options->laswp_col_chunk != 0
-                                ? ctx.options->laswp_col_chunk
-                                : blas::kLaswpColChunk;
-    blas::SwapPlan local_plan;
-    auto flush_local = [&] {
-      if (local_plan.empty()) return;
-      local_plan.finalize();  // compose once, apply to every interval
-      for (const auto& [lo, hi] : iv) {
-        auto region =
-            ctx.local.view().block(0, lo, ctx.local.rows(), hi - lo);
-        blas::laswp_fused<T>(region, local_plan, /*pool=*/nullptr,
-                             col_chunk);
-      }
-      local_plan = blas::SwapPlan{};
-    };
-    for (std::size_t t = 0; t < pw; ++t) {
-      const std::size_t r1 = k0 + t;
-      const std::size_t r2 = static_cast<std::size_t>(ipiv_stage[t]);
-      if (r1 == r2) continue;
-      const int o1 = dist.owner_prow(r1);
-      const int o2 = dist.owner_prow(r2);
-      if (o1 == o2) {
-        if (ctx.prow == o1)
-          local_plan.pairs.emplace_back(dist.local_row(r1),
-                                        dist.local_row(r2));
-      } else if (ctx.prow == o1 || ctx.prow == o2) {
-        flush_local();
-        const std::size_t mine = ctx.prow == o1 ? r1 : r2;
-        const int partner_prow = ctx.prow == o1 ? o2 : o1;
-        const int partner = grid.rank_of(partner_prow, ctx.pcol);
-        Payload out;
-        out.reserve(width);
-        copy_row_segment(dist.local_row(mine), out);
-        comm.send(partner, tag, std::move(out));
-        const Payload in = comm.recv(partner, tag);
-        write_row_segment(dist.local_row(mine), in.data());
-      }
+  const std::size_t col_chunk = ctx.options->laswp_col_chunk != 0
+                                    ? ctx.options->laswp_col_chunk
+                                    : blas::kLaswpColChunk;
+  blas::SwapPlan local_plan;
+  auto flush_local = [&] {
+    if (local_plan.empty()) return;
+    local_plan.finalize();  // compose once, apply to every interval
+    for (const auto& [lo, hi] : iv) {
+      auto region = ctx.local.view().block(0, lo, ctx.local.rows(), hi - lo);
+      blas::laswp_fused<T>(region, local_plan, /*pool=*/nullptr, col_chunk);
     }
-    flush_local();
-  } else {
-    // "Long" swap: gather every involved row segment at the stage's root
-    // process row, apply the whole interchange sequence there, scatter back.
-    std::vector<std::size_t> involved;
-    for (std::size_t t = 0; t < pw; ++t) {
-      const std::size_t r1 = k0 + t;
-      const std::size_t r2 = static_cast<std::size_t>(ipiv_stage[t]);
-      if (r1 == r2) continue;
-      for (std::size_t r : {r1, r2})
-        if (std::find(involved.begin(), involved.end(), r) == involved.end())
-          involved.push_back(r);
-    }
-    if (!involved.empty()) {
-      const int root_prow = static_cast<int>((k0 / dist.nb()) % grid.p);
-      const int swap_root = grid.rank_of(root_prow, ctx.pcol);
-      // Send my owned involved-row segments to the swap root.
-      Payload mine;
-      std::vector<std::size_t> my_rows;
-      for (std::size_t r : involved)
-        if (dist.owner_prow(r) == ctx.prow) my_rows.push_back(r);
-      mine.push_back(static_cast<double>(my_rows.size()));
-      for (std::size_t r : my_rows) {
-        mine.push_back(static_cast<double>(r));
-        copy_row_segment(dist.local_row(r), mine);
-      }
-      comm.send(swap_root, tag, std::move(mine));
-      if (comm.rank() == swap_root) {
-        // Collect all segments into row -> contents.
-        std::vector<Payload> contents(involved.size());
-        for (int prow = 0; prow < grid.p; ++prow) {
-          const Payload msg = comm.recv(grid.rank_of(prow, ctx.pcol), tag);
-          std::size_t pos = 0;
-          const std::size_t count = static_cast<std::size_t>(msg[pos++]);
-          for (std::size_t i = 0; i < count; ++i) {
-            const std::size_t r = static_cast<std::size_t>(msg[pos++]);
-            const auto it = std::find(involved.begin(), involved.end(), r);
-            contents[it - involved.begin()].assign(msg.begin() + pos,
-                                                   msg.begin() + pos + width);
-            pos += width;
-          }
-        }
-        // Apply the interchange sequence on the gathered rows.
-        auto slot_of = [&](std::size_t r) {
-          return static_cast<std::size_t>(
-              std::find(involved.begin(), involved.end(), r) -
-              involved.begin());
-        };
-        for (std::size_t t = 0; t < pw; ++t) {
-          const std::size_t r1 = k0 + t;
-          const std::size_t r2 = static_cast<std::size_t>(ipiv_stage[t]);
-          if (r1 != r2) std::swap(contents[slot_of(r1)], contents[slot_of(r2)]);
-        }
-        // Scatter the permuted rows back to their owners.
-        for (int prow = 0; prow < grid.p; ++prow) {
-          Payload out;
-          std::size_t count = 0;
-          Payload body;
-          for (std::size_t i = 0; i < involved.size(); ++i) {
-            if (dist.owner_prow(involved[i]) != prow) continue;
-            ++count;
-            body.push_back(static_cast<double>(involved[i]));
-            body.insert(body.end(), contents[i].begin(), contents[i].end());
-          }
-          out.push_back(static_cast<double>(count));
-          out.insert(out.end(), body.begin(), body.end());
-          comm.send(grid.rank_of(prow, ctx.pcol), tag, std::move(out));
-        }
-      }
-      // Receive my rows' new contents.
-      const Payload back = comm.recv(swap_root, tag);
+    local_plan = blas::SwapPlan{};
+  };
+  for (std::size_t t = 0; t < pw; ++t) {
+    const std::size_t r1 = k0 + t;
+    const std::size_t r2 = static_cast<std::size_t>(ipiv_stage[t]);
+    if (r1 == r2) continue;
+    const int o1 = dist.owner_prow(r1);
+    const int o2 = dist.owner_prow(r2);
+    if (o1 == o2) {
+      if (ctx.prow == o1)
+        local_plan.pairs.emplace_back(dist.local_row(r1), dist.local_row(r2));
+    } else if (ctx.prow == o1 || ctx.prow == o2) {
+      flush_local();
+      const std::size_t lr = dist.local_row(ctx.prow == o1 ? r1 : r2);
+      const int partner = grid.rank_of(ctx.prow == o1 ? o2 : o1, ctx.pcol);
+      Payload out;
+      out.reserve(width);
+      for (const auto& [lo, hi] : iv)
+        for (std::size_t c = lo; c < hi; ++c)
+          out.push_back(static_cast<double>(ctx.local(lr, c)));
+      comm.send(partner, tag, std::move(out));
+      const Payload in = comm.recv(partner, tag);
       std::size_t pos = 0;
-      const std::size_t count = static_cast<std::size_t>(back[pos++]);
-      for (std::size_t i = 0; i < count; ++i) {
-        const std::size_t r = static_cast<std::size_t>(back[pos++]);
-        write_row_segment(dist.local_row(r), &back[pos]);
-        pos += width;
-      }
+      for (const auto& [lo, hi] : iv)
+        for (std::size_t c = lo; c < hi; ++c)
+          ctx.local(lr, c) = static_cast<T>(in[pos++]);
     }
   }
+  flush_local();
   ctx.record(SpanKind::kRowSwap, t0);
 }
 
-/// One U block in flight: the owning process row holds the solved payload,
-/// everyone else a pending irecv. `lc0`/`width` locate the columns locally.
+/// One U block in flight down a process column: `lc0`/`width` locate its
+/// columns locally; the stage's owner row fills `u` by solving, the other
+/// rows receive it through `req`.
 struct USlot {
   bool owner = false;
+  int tag = 0;
   std::size_t lc0 = 0, width = 0;
   Payload u;
   Request req;
 };
 
-/// Owner-row U solve: L11 * U = A12 for the panel rows' local columns
-/// [slot.lc0, slot.lc0 + slot.width), written back in place and widened
-/// into slot.u for the wire.
+/// Opens stage bk's U block for the global columns `cols`: rows other than
+/// the owner post its irecv. Width 0 (a no-op slot) when this rank holds
+/// none of the columns — consistent down the process column.
 template <class T>
-void solve_u_block(RankContext<T>& ctx, std::size_t k0, std::size_t pw,
-                   const double* panel_data, USlot& slot) {
+USlot start_u(RankContext<T>& ctx, std::size_t bk, int tag, ColSpan cols) {
+  const Grid& grid = ctx.dist->grid();
+  const int pr = static_cast<int>(bk % grid.p);
+  USlot slot;
+  slot.tag = tag;
+  slot.lc0 = ctx.local_col_lower_bound(cols.g0);
+  slot.width = ctx.local_col_lower_bound(cols.g1) - slot.lc0;
+  slot.owner = ctx.prow == pr;
+  if (slot.width > 0 && !slot.owner)
+    slot.req = ctx.comm->irecv(grid.rank_of(pr, ctx.pcol), tag);
+  return slot;
+}
+
+/// Completes a U block. The owner row solves L11 * U = A12 for the block's
+/// local columns, writes U back in place, widens it into slot.u and isends
+/// it down the process column; the other rows block on the irecv (the
+/// recorded kBroadcast span is exactly the exposed transfer time).
+template <class T>
+void finish_u(RankContext<T>& ctx, std::size_t k0, std::size_t pw,
+              const double* panel_data, USlot& slot) {
+  if (slot.width == 0) return;
+  if (!slot.owner) {
+    const double t0 = ctx.now();
+    slot.u = slot.req.take();
+    ctx.record(SpanKind::kBroadcast, t0);
+    return;
+  }
   const std::size_t lr0 = ctx.dist->local_row(k0);
   const double t0 = ctx.now();
   Matrix<T> u(pw, slot.width);
@@ -484,92 +378,13 @@ void solve_u_block(RankContext<T>& ctx, std::size_t k0, std::size_t pw,
   slot.u.resize(pw * slot.width);
   for (std::size_t i = 0; i < pw * slot.width; ++i)
     slot.u[i] = static_cast<double>(u.data()[i]);
-}
 
-/// Owner-row half of a pipelined U start: solves the slot's U block and
-/// isends the result down the process column.
-template <class T>
-void owner_solve_and_send_u(RankContext<T>& ctx, std::size_t bk, int subset,
-                            std::size_t k0, std::size_t pw,
-                            const double* panel_data, USlot& slot) {
-  Comm& comm = *ctx.comm;
   const Grid& grid = ctx.dist->grid();
-  const int tag = static_cast<int>(bk) * kTagStride + kTagUBcast + subset;
-  solve_u_block(ctx, k0, pw, panel_data, slot);
   const double t1 = ctx.now();
   for (int prow = 0; prow < grid.p; ++prow)
-    if (prow != ctx.prow) comm.isend(grid.rank_of(prow, ctx.pcol), tag, slot.u);
+    if (prow != ctx.prow)
+      ctx.comm->isend(grid.rank_of(prow, ctx.pcol), slot.tag, slot.u);
   ctx.record(SpanKind::kBroadcast, t1);
-}
-
-/// Pipelined U start for one column subset: the owner row solves
-/// L11 * U = A12 for the subset's columns and isends the result down its
-/// process column (unless `defer_solve` — then owner_solve_and_send_u must
-/// be called later, letting the wide solve slide off the critical path);
-/// other rows post an irecv. No-op when the subset has no local columns
-/// (consistent across the process column).
-template <class T>
-USlot start_u(RankContext<T>& ctx, std::size_t bk, int subset, std::size_t k0,
-              std::size_t pw, const double* panel_data, ColSpan cols,
-              bool defer_solve = false) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const int pr = static_cast<int>(bk % grid.p);
-  const int tag = static_cast<int>(bk) * kTagStride + kTagUBcast + subset;
-
-  USlot slot;
-  slot.lc0 = ctx.local_col_lower_bound(cols.g0);
-  slot.width = ctx.local_col_lower_bound(cols.g1) - slot.lc0;
-  slot.owner = ctx.prow == pr;
-  if (slot.width == 0) return slot;
-  if (slot.owner) {
-    if (!defer_solve) owner_solve_and_send_u(ctx, bk, subset, k0, pw,
-                                             panel_data, slot);
-  } else {
-    slot.req = comm.irecv(grid.rank_of(pr, ctx.pcol), tag);
-  }
-  return slot;
-}
-
-/// Completes a pipelined U slot: non-owners block on the irecv here (the
-/// recorded kBroadcast span is exactly the exposed transfer time).
-template <class T>
-void wait_u(RankContext<T>& ctx, USlot& slot) {
-  if (slot.owner || slot.width == 0) return;
-  const double t0 = ctx.now();
-  slot.u = slot.req.take();
-  ctx.record(SpanKind::kBroadcast, t0);
-}
-
-/// Blocking full-width U solve + binomial broadcast down each process
-/// column (the kNone/kBasic path). Returns a USlot with the payload in hand.
-template <class T>
-USlot solve_and_bcast_u(RankContext<T>& ctx, std::size_t bk, std::size_t k0,
-                        std::size_t pw, const double* panel_data,
-                        ColSpan cols) {
-  const BlockCyclic& dist = *ctx.dist;
-  Comm& comm = *ctx.comm;
-  const Grid& grid = dist.grid();
-  const int pr = static_cast<int>(bk % grid.p);
-  const int tag = static_cast<int>(bk) * kTagStride + kTagUBcast;
-
-  USlot slot;
-  slot.lc0 = ctx.local_col_lower_bound(cols.g0);
-  slot.width = ctx.local_col_lower_bound(cols.g1) - slot.lc0;
-  slot.owner = true;  // payload in hand after the broadcast below
-  if (slot.width == 0) return slot;
-  if (ctx.prow == pr) solve_u_block(ctx, k0, pw, panel_data, slot);
-  std::vector<int> col_group;
-  for (int prow = 0; prow < grid.p; ++prow)
-    col_group.push_back(grid.rank_of(prow, ctx.pcol));
-  const double t1 = ctx.now();
-  // The whole process column shares pcol, hence the same local width — the
-  // pw x width hint is identical down the group.
-  slot.u = comm.bcast_auto(grid.rank_of(pr, ctx.pcol), col_group,
-                           std::move(slot.u), tag, pw * slot.width);
-  ctx.record(SpanKind::kBroadcast, t1);
-  return slot;
 }
 
 /// L21 rows of the broadcast panel owned by this rank (trailing rows only).
@@ -604,7 +419,7 @@ void update_range(RankContext<T>& ctx, std::size_t pw, const Matrix<T>& l21,
   MatrixView<const double> u(slot.u.data() + (lo - slot.lc0), pw, hi - lo,
                              slot.width);
   auto a22 = ctx.local.block(lr_trail, lo, m_loc, hi - lo);
-  if (ctx.options != nullptr && ctx.options->use_offload_engine) {
+  if (ctx.options->use_offload_engine) {
     if constexpr (std::is_same_v<T, double>) {
       core::offload_gemm_functional(-1.0, l21.view(), u, a22,
                                     ctx.options->offload);
@@ -630,7 +445,7 @@ void update_range(RankContext<T>& ctx, std::size_t pw, const Matrix<T>& l21,
   } else {
     blas::GemmOptions go;
     go.chunk_k = pw;
-    go.kernel = ctx.options != nullptr ? ctx.options->microkernel : 0;
+    go.kernel = ctx.options->microkernel;
     if constexpr (std::is_same_v<T, double>) {
       blas::gemm_tiled<double>(-1.0, l21.view(), u, 1.0, a22, go);
     } else {
@@ -647,43 +462,37 @@ void update_range(RankContext<T>& ctx, std::size_t pw, const Matrix<T>& l21,
   ctx.record(SpanKind::kGemm, t0);
 }
 
-/// One fully blocking LU stage (Lookahead::kNone — Figure 8a).
-template <class T>
-void run_stage_blocking(RankContext<T>& ctx, std::size_t bk,
-                        std::vector<double>& ipiv_all) {
-  const BlockCyclic& dist = *ctx.dist;
-  const std::size_t n = dist.n();
-  const std::size_t nb = dist.nb();
-  const std::size_t k0 = bk * nb;
-  const std::size_t pw = std::min(nb, n - k0);
-  const int pc = static_cast<int>(bk % dist.grid().q);
-  const int stage_tag = static_cast<int>(bk) * kTagStride;
-
-  const Payload packet = produce_packet_blocking(ctx, bk);
-  const double* ipiv_stage = packet.data();
-  const double* panel_data = packet.data() + pw;
-  for (std::size_t t = 0; t < pw; ++t) ipiv_all.push_back(ipiv_stage[t]);
-  if (ctx.pcol == pc) write_back_panel(ctx, k0, pw, panel_data);
-
-  swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw,
-                   {{0, k0}, {k0 + pw, n}});
-
-  if (k0 + pw >= n) return;  // no trailing matrix
-  const ColSpan trail{k0 + pw, n};
-  const USlot u = solve_and_bcast_u(ctx, bk, k0, pw, panel_data, trail);
-  const std::size_t lr_trail = ctx.local_row_lower_bound(k0 + pw);
-  const std::size_t m_loc = ctx.lrows() - lr_trail;
-  if (m_loc == 0 || u.width == 0) return;
-  const Matrix<T> l21 = build_l21(ctx, k0, pw, panel_data, lr_trail, m_loc);
-  update_range(ctx, pw, l21, lr_trail, m_loc, u, trail);
+/// The scheme as blas::getrf_stages' `lookahead_subsets`: the number of
+/// column subsets the trailing matrix right of the next panel's columns is
+/// split into. 0 makes the whole trailing matrix one subset, so the next
+/// panel starts only after the whole update (Figure 8a).
+int lookahead_subsets(const DistributedHplOptions& options) {
+  switch (options.lookahead) {
+    case Lookahead::kNone: return 0;
+    case Lookahead::kBasic: return 1;
+    case Lookahead::kPipelined: break;
+  }
+  return std::clamp(options.pipeline_subsets, 1, kMaxSubsets) - 1;
 }
 
-/// One look-ahead LU stage (kBasic — Figure 8b, kPipelined — Figure 8c).
-/// Consumes this stage's already-factored packet and returns the next
-/// stage's (factored while this stage's trailing update ran).
+/// One LU stage (Figure 8) with `subsets` look-ahead subsets (see
+/// lookahead_subsets). Consumes this stage's factored packet and returns the
+/// next stage's.
+///
+/// The row swap is one exchange per rank pair over every column. Subset 0
+/// (the next panel's columns, or the whole trailing matrix when subsets is
+/// 0) has its U solved and sent first, so its update — and the next panel's
+/// launch — start as early as possible. The remaining subsets travel as ONE
+/// coalesced U message per process row whose wide solve the owner row
+/// defers until after the panel launch, hiding it under the next panel's
+/// gather/factor; every rank then consumes it subset by subset while the
+/// panel travels. Deferring the solve is bitwise-neutral: the U rows it
+/// reads are disjoint (in both rows and columns) from everything subset 0's
+/// update and the panel pack touch. TRSM is independent per column and
+/// gemm_tiled per column split, so every subset count yields the same bits.
 template <class T>
-Payload run_stage_lookahead(RankContext<T>& ctx, std::size_t bk,
-                            Payload packet, std::vector<double>& ipiv_all) {
+Payload run_stage(RankContext<T>& ctx, std::size_t bk, Payload packet,
+                  std::vector<double>& ipiv_all, int subsets) {
   const BlockCyclic& dist = *ctx.dist;
   const std::size_t n = dist.n();
   const std::size_t nb = dist.nb();
@@ -704,27 +513,14 @@ Payload run_stage_lookahead(RankContext<T>& ctx, std::size_t bk,
     return {};
   }
 
-  // Column subsets of the trailing matrix. Subset 0 is always the next
-  // panel's columns, so the look-ahead panel can start right after its
-  // update; kPipelined splits the rest into further subsets the swap /
-  // DTRSM / U-broadcast stream over.
-  const std::size_t npw = std::min(nb, n - trail_g0);
-  std::vector<ColSpan> subsets{{trail_g0, trail_g0 + npw}};
-  const std::size_t rest0 = trail_g0 + npw;
-  if (rest0 < n) {
-    std::size_t parts = 1;
-    if (ctx.options->lookahead == Lookahead::kPipelined) {
-      const int want = std::clamp(ctx.options->pipeline_subsets, 1,
-                                  kMaxSubsets) - 1;
-      parts = std::clamp<std::size_t>(want, 1, n - rest0);
-    }
-    for (std::size_t i = 0; i < parts; ++i) {
-      const std::size_t w = n - rest0;
-      const std::size_t lo = rest0 + i * w / parts;
-      const std::size_t hi = rest0 + (i + 1) * w / parts;
-      if (hi > lo) subsets.push_back({lo, hi});
-    }
-  }
+  // Subset 0, then the rest [rest0, n) in `subsets` equal parts.
+  const std::size_t rest0 = subsets == 0 ? n : std::min(n, trail_g0 + nb);
+  std::vector<ColSpan> cols{{trail_g0, rest0}};
+  const std::size_t rest_w = n - rest0;
+  const std::size_t parts = std::min<std::size_t>(subsets, rest_w);
+  for (std::size_t i = 0; i < parts; ++i)
+    cols.push_back(
+        {rest0 + i * rest_w / parts, rest0 + (i + 1) * rest_w / parts});
 
   const std::size_t lr_trail = ctx.local_row_lower_bound(trail_g0);
   const std::size_t m_loc = ctx.lrows() - lr_trail;
@@ -732,54 +528,16 @@ Payload run_stage_lookahead(RankContext<T>& ctx, std::size_t bk,
       m_loc > 0 ? build_l21(ctx, k0, pw, panel_data, lr_trail, m_loc)
                 : Matrix<T>();
 
-  PanelLaunch launch;
-  if (ctx.options->lookahead == Lookahead::kBasic) {
-    // Swap and solve U full-width (exposed, like kNone), then update the
-    // next panel's columns, kick off its factorization, and hide it under
-    // the bulk of the trailing update.
-    swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw,
-                     {{0, k0}, {trail_g0, n}});
-    const USlot u = solve_and_bcast_u(ctx, bk, k0, pw, panel_data,
-                                      {trail_g0, n});
-    update_range(ctx, pw, l21, lr_trail, m_loc, u, subsets[0]);
-    launch = start_panel(ctx, bk + 1);
-    for (std::size_t s = 1; s < subsets.size(); ++s)
-      update_range(ctx, pw, l21, lr_trail, m_loc, u, subsets[s]);
-  } else {
-    // Pipelined: subset 0's U (just the next panel's columns) is solved and
-    // sent first so its update — and the look-ahead panel launch — start as
-    // early as possible. The remaining subsets travel as ONE coalesced
-    // message per process row (the "subset batch"), and the owner row defers
-    // the batch's wide DTRSM until after the panel launch, hiding it under
-    // the next panel's gather/factor on the other process row, then consumes
-    // it subset by subset. Earlier revisions swapped and broadcast every
-    // subset separately, which tripled the per-stage message count and cost
-    // the scheme its overlap win (see the BENCH_hpl.json history); the row
-    // swap now rides a single exchange per rank pair covering all subsets at
-    // once, which is permutation-identical. Deferring the batch solve is
-    // bitwise-neutral too: the U rows it reads are disjoint (in both rows
-    // and columns) from everything subset 0's update and the panel pack
-    // touch.
-    const std::size_t S = subsets.size();
-    swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw,
-                     {{0, k0}, {trail_g0, n}});
-    USlot first = start_u(ctx, bk, 0, k0, pw, panel_data, subsets[0]);
-    USlot batch;
-    if (S > 1)
-      batch = start_u(ctx, bk, 1, k0, pw, panel_data,
-                      {subsets[1].g0, subsets[S - 1].g1},
-                      /*defer_solve=*/true);
-    wait_u(ctx, first);
-    update_range(ctx, pw, l21, lr_trail, m_loc, first, subsets[0]);
-    launch = start_panel(ctx, bk + 1);
-    if (S > 1) {
-      if (batch.owner && batch.width > 0)
-        owner_solve_and_send_u(ctx, bk, 1, k0, pw, panel_data, batch);
-      wait_u(ctx, batch);
-      for (std::size_t s = 1; s < S; ++s)
-        update_range(ctx, pw, l21, lr_trail, m_loc, batch, subsets[s]);
-    }
-  }
+  swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw,
+                   {{0, k0}, {trail_g0, n}});
+  USlot first = start_u(ctx, bk, stage_tag + kTagUFirst, cols[0]);
+  USlot rest = start_u(ctx, bk, stage_tag + kTagURest, {rest0, n});
+  finish_u(ctx, k0, pw, panel_data, first);
+  update_range(ctx, pw, l21, lr_trail, m_loc, first, cols[0]);
+  PanelLaunch launch = start_panel(ctx, bk + 1);
+  finish_u(ctx, k0, pw, panel_data, rest);
+  for (std::size_t s = 1; s < cols.size(); ++s)
+    update_range(ctx, pw, l21, lr_trail, m_loc, rest, cols[s]);
   return finish_panel(ctx, std::move(launch));
 }
 
@@ -997,14 +755,10 @@ void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
                           dist.global_col(ctx.pcol, lc)));
 
   std::vector<double> ipiv_all;
-  if (options.lookahead == Lookahead::kNone) {
-    for (std::size_t bk = 0; bk < dist.num_blocks(); ++bk)
-      run_stage_blocking(ctx, bk, ipiv_all);
-  } else {
-    Payload packet = produce_packet_blocking(ctx, 0);
-    for (std::size_t bk = 0; bk < dist.num_blocks(); ++bk)
-      packet = run_stage_lookahead(ctx, bk, std::move(packet), ipiv_all);
-  }
+  const int subsets = lookahead_subsets(options);
+  Payload packet = finish_panel(ctx, start_panel(ctx, 0));
+  for (std::size_t bk = 0; bk < dist.num_blocks(); ++bk)
+    packet = run_stage(ctx, bk, std::move(packet), ipiv_all, subsets);
 
   // Distributed solve: permute the replicated right-hand side by the
   // recorded interchanges, then block forward/back substitution.
@@ -1145,10 +899,6 @@ DistributedHplResult run_distributed_hpl(std::size_t n, std::size_t nb,
   world.set_recv_timeout(options.recv_timeout_seconds);
   world.set_mailbox_soft_cap(options.mailbox_soft_cap);
   world.set_fault_injector(options.injector);
-  if (options.net_crossover_doubles != 0)
-    world.set_collective_crossover_doubles(options.net_crossover_doubles);
-  if (options.net_ring_segment != 0)
-    world.set_ring_segment_doubles(options.net_ring_segment);
   if (options.net_workers != 0) world.set_workers(options.net_workers);
 
   // Per-rank span capture slots (each written only by its own rank thread;

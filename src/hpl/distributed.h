@@ -8,32 +8,31 @@
 // updates — and is validated against the sequential blocked factorization
 // and the HPL residual test.
 //
-// The paper's three look-ahead schemes (Section IV, Figure 8) run
-// functionally here, built on net::World's nonblocking layer:
-//   kNone      — fully blocking: each stage gathers, factors, broadcasts,
-//                swaps, solves U and updates in strict order (Figure 8a).
-//   kBasic     — the next panel is gathered, factored and its broadcast
-//                initiated (isend) right after the next-panel columns are
-//                updated, so the factorization overlaps the bulk of the
-//                trailing update; the packet is collected via irecv at the
-//                next stage (Figure 8b).
-//   kPipelined — DTRSM and U broadcast are additionally streamed over
-//                column subsets: subset 0 (the next panel's columns) is
-//                solved and sent first so its update and the look-ahead
-//                panel start early, while the remaining subsets are solved
-//                and broadcast as one coalesced message per process row
-//                that travels under subset 0's compute and is consumed
-//                subset by subset (Figure 8c). The row swap is a single
-//                exchange covering every subset at once.
-// All three produce bitwise-identical pivots and factors: the subset split
-// changes no per-element accumulation order anywhere (see gemm_tiled.h).
+// The paper's three look-ahead schemes (Section IV, Figure 8) reorder the
+// same rank stage, as blas::getrf_stages does on one node: each scheme is a
+// count of look-ahead column subsets (none = 0, basic = 1, pipelined =
+// pipeline_subsets - 1). A stage swaps rows, solves and sends the U block of
+// column subset 0 (the next panel's columns), updates it, starts the next
+// panel, then solves and sends the other subsets' U as one coalesced message
+// and updates them subset by subset while that panel travels:
+//   kNone      — one subset, the whole trailing matrix: the next panel starts
+//                only after the whole update (Figure 8a).
+//   kBasic     — the next panel is gathered, factored and sent right after
+//                its columns are updated, so it overlaps the rest of the
+//                trailing update (Figure 8b).
+//   kPipelined — the rest is updated in several subsets as the coalesced U
+//                arrives (Figure 8c).
+// Every panel and U transfer is a flat isend/irecv fan-out. All three
+// schemes produce bitwise-identical pivots and factors: swaps only move
+// data, TRSM is independent per column, and the subset split changes no
+// per-element accumulation order (see gemm_tiled.h).
 //
 // Scope note (documented in DESIGN.md): the panel is gathered to a root rank
 // and factored there rather than factored in place across the process
-// column. This preserves the exact numerics and the full swap/broadcast
-// communication structure at the small sizes the functional tests run; the
-// performance cost of the in-place distributed panel is what the simulation
-// models.
+// column; pivot exchanges are pairwise between the two owner rows. This
+// preserves the exact numerics and the full swap/broadcast communication
+// structure at the small sizes the functional tests run; the performance
+// cost of the in-place distributed panel is what the simulation models.
 #pragma once
 
 #include <cstddef>
@@ -52,14 +51,6 @@ class Timeline;
 
 namespace xphi::hpl {
 
-/// Row interchange algorithms (HPL offers the same choice):
-///  - kPairwise: each swap is a point-to-point exchange between the two
-///    owner rows (binary-exchange style; good for few, scattered pivots);
-///  - kGatherScatter: the stage's root row collects every involved row
-///    segment, applies the whole interchange sequence, and scatters the
-///    results back (HPL's "long" swap: one gather + one scatter per stage).
-enum class SwapAlgorithm { kPairwise, kGatherScatter };
-
 /// Look-ahead depth of the factorization schedule — the functional twin of
 /// core::Lookahead (the simulator's cost model for the same three schemes).
 enum class Lookahead { kNone, kBasic, kPipelined };
@@ -71,11 +62,11 @@ struct DistributedHplOptions {
   /// functional twin of the full multi-node *hybrid* HPL.
   bool use_offload_engine = false;
   core::FunctionalOffloadConfig offload{};
-  SwapAlgorithm swap_algorithm = SwapAlgorithm::kPairwise;
 
   Lookahead lookahead = Lookahead::kNone;
-  /// Column subsets the pipelined scheme streams swap/DTRSM/U-broadcast
-  /// over (clamped to [1, 16]; subset 0 is always the next panel's columns).
+  /// Column subsets of the pipelined scheme's trailing update, counting
+  /// subset 0, the next panel's columns (clamped to [1, 16]; 1 runs the
+  /// kNone stage).
   int pipeline_subsets = 4;
 
   /// Critical-path kernel knobs (blas::PanelOptions) for the root-rank panel
@@ -100,14 +91,6 @@ struct DistributedHplOptions {
   /// Mailbox soft cap handed to net::World (0 = off): logs when a rank's
   /// queue of undelivered messages exceeds it.
   std::size_t mailbox_soft_cap = 0;
-
-  /// Size-adaptive collective dispatch handed to net::World (0 = World
-  /// defaults; tune knobs "net_crossover_doubles" / "net_ring_segment",
-  /// spaces::net()). Panel/U broadcasts above the crossover travel over the
-  /// segmented ring, smaller ones over the binomial tree; both move the
-  /// same bytes, so the choice is bitwise-invisible.
-  std::size_t net_crossover_doubles = 0;
-  std::size_t net_ring_segment = 0;
 
   /// Worker OS threads for the World's cooperative rank scheduler
   /// (0 = min(ranks, hardware_concurrency)).

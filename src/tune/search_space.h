@@ -96,7 +96,7 @@ SearchSpace serve();
 /// it, in doubles, broadcast over the segmented ring; at or below it, the
 /// binomial tree) and the ring's pipeline segment. Both land on the World
 /// via set_collective_crossover_doubles / set_ring_segment_doubles (the
-/// distributed HPL driver forwards them from DistributedHplOptions).
+/// HPCC PTRANS and GUPS drivers forward them from their options).
 SearchSpace net();
 
 /// HPCC PTRANS: the block-cyclic block size of the transpose exchange.

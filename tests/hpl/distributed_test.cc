@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <tuple>
 #include <vector>
 
@@ -132,31 +133,6 @@ TEST(DistributedHpl, HybridOffloadTwoCardsPerRank) {
   EXPECT_LT(res.solve_agreement, 1e-10);
 }
 
-TEST(DistributedHpl, GatherScatterSwapMatchesPairwise) {
-  // HPL's "long" swap and the pairwise exchange are different communication
-  // patterns for the same permutation: identical factors required.
-  DistributedHplOptions gather;
-  gather.swap_algorithm = SwapAlgorithm::kGatherScatter;
-  for (auto grid : {Grid{2, 1}, Grid{2, 2}, Grid{3, 2}}) {
-    const auto a = run_distributed_hpl(72, 12, grid, 91, gather);
-    const auto b = run_distributed_hpl(72, 12, grid, 91);
-    ASSERT_TRUE(a.ok);
-    ASSERT_TRUE(b.ok);
-    EXPECT_EQ(a.ipiv, b.ipiv);
-    EXPECT_EQ(util::max_abs_diff<double>(a.factored.view(), b.factored.view()),
-              0.0)
-        << grid.p << "x" << grid.q;
-  }
-}
-
-TEST(DistributedHpl, GatherScatterSwapSolves) {
-  DistributedHplOptions opt;
-  opt.swap_algorithm = SwapAlgorithm::kGatherScatter;
-  const auto res = run_distributed_hpl(90, 10, Grid{3, 1}, 17, opt);
-  EXPECT_TRUE(res.ok);
-  EXPECT_LT(res.solve_agreement, 1e-10);
-}
-
 // ---------------------------------------------------------------------------
 // Look-ahead schemes (paper Section IV, Figure 8)
 // ---------------------------------------------------------------------------
@@ -165,14 +141,14 @@ TEST(DistributedHpl, LookaheadSchemesBitwiseIdentical) {
   // The three schedules reorder communication and split the update into
   // column subsets, but never change any per-element accumulation order
   // (see gemm_tiled.h) — so the factors must match kNone bit for bit,
-  // across both swap algorithms and non-divisible N/NB/PxQ shapes.
+  // in both precisions and across non-divisible N/NB/PxQ shapes.
   struct Shape { std::size_t n, nb; Grid grid; };
   for (const Shape& sh : {Shape{70, 12, Grid{2, 2}},    // ragged last block
                           Shape{84, 16, Grid{3, 2}},    // uneven block counts
                           Shape{48, 8, Grid{1, 3}}}) {  // single process row
-    for (auto swap : {SwapAlgorithm::kPairwise, SwapAlgorithm::kGatherScatter}) {
+    for (auto precision : {Precision::kFp64, Precision::kMixed}) {
       DistributedHplOptions base;
-      base.swap_algorithm = swap;
+      base.precision = precision;
       const auto none = run_distributed_hpl(sh.n, sh.nb, sh.grid, 29, base);
       ASSERT_TRUE(none.ok);
       for (auto scheme : {Lookahead::kBasic, Lookahead::kPipelined}) {
@@ -182,7 +158,8 @@ TEST(DistributedHpl, LookaheadSchemesBitwiseIdentical) {
         const auto label = [&] {
           return ::testing::Message()
                  << "n=" << sh.n << " nb=" << sh.nb << " grid=" << sh.grid.p
-                 << "x" << sh.grid.q << " swap=" << static_cast<int>(swap)
+                 << "x" << sh.grid.q
+                 << " precision=" << precision_name(precision)
                  << " scheme=" << static_cast<int>(scheme);
         };
         ASSERT_TRUE(res.ok) << label();
@@ -192,6 +169,68 @@ TEST(DistributedHpl, LookaheadSchemesBitwiseIdentical) {
                   0.0)
             << label();
         EXPECT_LT(res.solve_agreement, 1e-10) << label();
+      }
+    }
+  }
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t len) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < len; ++i) {
+    h ^= b[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// FNV-1a of a run's factors, pivots and distributed solution, then its
+/// refinement trace (empty under kFp64).
+std::uint64_t result_hash(const DistributedHplResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const util::Matrix<double>& f = r.factored;
+  for (std::size_t row = 0; row < f.rows(); ++row)
+    h = fnv1a(h, f.data() + row * f.ld(), f.cols() * sizeof(double));
+  for (std::size_t p : r.ipiv) {
+    const std::uint64_t v = p;
+    h = fnv1a(h, &v, sizeof v);
+  }
+  h = fnv1a(h, r.x.data(), r.x.size() * sizeof(double));
+  return fnv1a(h, r.refine_trace.data(),
+               r.refine_trace.size() * sizeof(double));
+}
+
+TEST(DistributedHpl, FactorBitsPinnedAtParent) {
+  // Hashes captured before the three look-ahead schemes shared one rank
+  // stage and one panel/U transport: every scheme must keep reproducing
+  // them in both precisions, so the schemes cannot drift together.
+  struct Pinned {
+    std::size_t n, nb;
+    Grid grid;
+    std::uint64_t fp64_hash, mixed_hash;
+  };
+  constexpr Pinned kPinned[] = {
+      {70, 12, Grid{2, 2}, 0x27f6cc4d223aa0b5ull, 0x1e451a2c305390aeull},
+      {84, 16, Grid{3, 2}, 0x6f5900ee16a433f6ull, 0xe3e01bcac64f1782ull},
+      {80, 16, Grid{2, 3}, 0x545d613577706b0aull, 0x35141798d004c26eull},
+      {48, 8, Grid{1, 3}, 0xa3bd6d49cbd9118dull, 0xff8c04d88ae3e89bull},
+  };
+  for (const Pinned& pin : kPinned) {
+    for (auto precision : {Precision::kFp64, Precision::kMixed}) {
+      for (auto scheme :
+           {Lookahead::kNone, Lookahead::kBasic, Lookahead::kPipelined}) {
+        DistributedHplOptions opt;
+        opt.precision = precision;
+        opt.lookahead = scheme;
+        const auto res = run_distributed_hpl(pin.n, pin.nb, pin.grid, 29, opt);
+        const std::uint64_t want =
+            precision == Precision::kMixed ? pin.mixed_hash : pin.fp64_hash;
+        const std::uint64_t got = result_hash(res);
+        ASSERT_TRUE(res.ok);
+        EXPECT_EQ(got, want)
+            << "n=" << pin.n << " nb=" << pin.nb << " grid=" << pin.grid.p
+            << "x" << pin.grid.q << " precision=" << precision_name(precision)
+            << " scheme=" << static_cast<int>(scheme) << " got=0x" << std::hex
+            << got;
       }
     }
   }
