@@ -321,12 +321,14 @@ int main(int argc, char** argv) {
   }
 
   // --- TRSM forward solve: jb x jb unit-lower L against a wide U panel. ----
+  // 64x3008 is lu_node's first U block (nb = 64, n = 3072); it and 128x1024
+  // are narrower than one L2 chunk, so they show the per-participant split.
   {
     const std::vector<std::pair<std::size_t, std::size_t>> shapes =
         opt.smoke
             ? std::vector<std::pair<std::size_t, std::size_t>>{{64, 256}}
             : std::vector<std::pair<std::size_t, std::size_t>>{
-                  {128, 1024}, {240, 2048}, {256, 4096}};
+                  {64, 3008}, {128, 1024}, {240, 2048}, {256, 4096}};
     for (const auto& [jb, cols] : shapes) {
       Matrix<double> l(jb, jb), b0(jb, cols), b(jb, cols);
       util::fill_hpl_matrix(l.view(), 14);

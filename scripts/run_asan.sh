@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Builds the memory-bearing tests under AddressSanitizer and runs them.
 #
-# Covers the coroutine rank scheduler and World messaging layer (mmap'd
-# stacks, deadline bookkeeping shared across workers), the BLAS kernels and
+# Covers the thread pool (the on-stack parallel_for state its workers read
+# through a raw pointer must outlive every worker's use of it), the
+# coroutine rank scheduler and World messaging layer (mmap'd stacks,
+# deadline bookkeeping shared across workers), the BLAS kernels and
 # pack cache, the panel critical path, the DAG LU executor, the offload
 # engine and hybrid driver, the solve server, the LU stage engine's
 # differential test, the mixed-precision solver (the float DAG via
@@ -24,10 +26,11 @@ BUILD_DIR="${BUILD_DIR:-build-asan}"
 cmake -B "$BUILD_DIR" -S . -DXPHI_SANITIZE=address -DCMAKE_BUILD_TYPE= \
   >/dev/null
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-  --target test_net test_blas test_panel test_lu test_core test_serve \
+  --target test_util test_net test_blas test_panel test_lu test_core test_serve \
   test_stage_engine test_mixed test_hpl test_net_conformance
 
 export ASAN_OPTIONS="halt_on_error=1 detect_leaks=1 ${ASAN_OPTIONS:-}"
+"$BUILD_DIR/tests/test_util"  # thread pool handoff + the util helpers
 "$BUILD_DIR/tests/test_net"  # messaging layer + coroutine scheduler
 "$BUILD_DIR/tests/test_blas"
 "$BUILD_DIR/tests/test_panel"

@@ -15,10 +15,11 @@
 //     cycles — each row moves once, instead of one full-width sweep per
 //     pivot — column-chunked across the pool;
 //   - trsm_left_lower_unit / trsm_left_upper are cache-blocked
-//     substitutions: L2-sized column chunks fan out across the pool and the
-//     k-loop runs register-blocked updates whose rank follows the
-//     dispatched micro-kernel's M_r, with per-element operation order
-//     identical to the scalar reference.
+//     substitutions: L2-sized column chunks, cut to one per participant
+//     when B is narrower, fan out across the pool and the k-loop runs
+//     register-blocked updates whose rank follows the dispatched
+//     micro-kernel's M_r, with per-element operation order identical to
+//     the scalar reference.
 // The *_unblocked scalar kernels are kept both as the leaf/diagonal cases
 // and as the seed reference implementations (bench_panel measures the two
 // generations against each other; the panel tests pin their equivalence).
@@ -61,6 +62,23 @@ template <class T>
 constexpr std::size_t trsm_col_chunk(std::size_t n) {
   const std::size_t budget = (std::size_t{1} << 20) / sizeof(T);
   return std::max<std::size_t>(std::size_t{64}, budget / (n == 0 ? 1 : n));
+}
+
+/// Column-chunk width the blocked TRSMs actually run: the L2 chunk, cut
+/// down so `cols` columns give every participant (pool workers + caller)
+/// a chunk — otherwise a U block narrower than trsm_col_chunk (every
+/// trailing width <= 2048 at nb = 64) runs as one serial chunk on the
+/// caller. Widths are multiples of 16 (whole vectors at every ISA tier),
+/// floor 16. Still a pure function of shape and pool width, and
+/// bitwise-neutral like any chunking.
+template <class T>
+constexpr std::size_t trsm_chunk_width(std::size_t n, std::size_t cols,
+                                       std::size_t participants) {
+  constexpr std::size_t kQuantum = 16;
+  const std::size_t p = participants == 0 ? 1 : participants;
+  const std::size_t share = (cols + p - 1) / p;
+  const std::size_t rounded = (share + kQuantum - 1) / kQuantum * kQuantum;
+  return std::max(kQuantum, std::min(trsm_col_chunk<T>(n), rounded));
 }
 
 /// Register-block rank of the blocked TRSM k-loops, inherited from the
@@ -558,9 +576,11 @@ void trsm_upper_cols(util::MatrixView<const T> u, util::MatrixView<T> b,
 /// DTRSM, left side, lower triangular, unit diagonal: solves L * X = B in
 /// place. Cache-blocked: B advances in column chunks sized so a chunk's
 /// solved rows stay L2-resident across the whole substitution (the scalar
-/// sweep re-streams every solved row from L3 once B outgrows the cache),
-/// and the k-loop runs register-blocked updates — rank inherited from the
-/// dispatched micro-kernel (trsm_unroll_rank) — that keep the destination
+/// sweep re-streams every solved row from L3 once B outgrows the cache)
+/// and narrow enough that every pool participant gets one
+/// (trsm_chunk_width), and the k-loop runs register-blocked updates —
+/// rank inherited from the dispatched micro-kernel (trsm_unroll_rank) —
+/// that keep the destination
 /// row in registers instead of re-loading and re-storing it per solved
 /// row, the same sub-blocking idea as the GEMM micro-kernel's register
 /// tiles. Columns are arithmetically independent and each element's
@@ -573,7 +593,8 @@ void trsm_left_lower_unit(util::MatrixView<const T> l, util::MatrixView<T> b,
   const std::size_t n = l.rows();
   assert(l.cols() == n && b.rows() == n);
   if (n == 0 || b.cols() == 0) return;
-  const std::size_t chunk = trsm_col_chunk<T>(n);
+  const std::size_t chunk = trsm_chunk_width<T>(
+      n, b.cols(), pool != nullptr ? pool->size() + 1 : 1);
   const std::size_t chunks = (b.cols() + chunk - 1) / chunk;
   const std::size_t rank = trsm_unroll_rank<T>();
   auto body = [&](std::size_t ci) {
@@ -634,7 +655,8 @@ bool trsm_left_upper(util::MatrixView<const T> u, util::MatrixView<T> b,
   for (std::size_t i = 0; i < n; ++i)
     if (u(i, i) == T{}) return false;
   if (n == 0 || b.cols() == 0) return true;
-  const std::size_t chunk = trsm_col_chunk<T>(n);
+  const std::size_t chunk = trsm_chunk_width<T>(
+      n, b.cols(), pool != nullptr ? pool->size() + 1 : 1);
   const std::size_t chunks = (b.cols() + chunk - 1) / chunk;
   const std::size_t rank = trsm_unroll_rank<T>();
   auto body = [&](std::size_t ci) {

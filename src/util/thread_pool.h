@@ -16,14 +16,27 @@
 // back to the contiguous block split, which has no claiming traffic at all.
 // Dispatch passes a raw function pointer + context to the workers instead of
 // re-wrapping the body in a fresh std::function (no per-call allocation).
+//
+// Handoff: a dispatch publishes (fn, ctx) and bumps a 32-bit atomic epoch;
+// each worker runs the job and decrements a 32-bit atomic pending count.
+// Workers waiting for the next epoch, and the caller waiting for pending to
+// reach zero, first spin for a fixed window (kSpinWindow) with a pause
+// instruction — yielding between pause bursts, so an oversubscribed core
+// runs the thread that holds the work — then park on std::atomic::wait, a
+// direct futex for 4-byte types. Wakers call notify_all only when someone is parked, so a dispatch
+// that lands inside the window makes no syscall at all. The blocked LU's
+// panel makes thousands of small dispatches per factorization (a pooled
+// iamax and rank-1 update per leaf column) back to back on its critical
+// path — the paper's reason for cheap intra-group barriers (Section IV).
+// A mutex + condition-variable handoff cost 18-20 us per 4-index dispatch
+// on a 4-vCPU AVX-512 Xeon; the spinning handoff costs 1.2-1.3 us there.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -94,21 +107,23 @@ class ThreadPool {
   /// Raw dispatch primitive: runs fn(ctx, participant) on every worker
   /// (participant = worker index) and, if include_caller, on the calling
   /// thread with participant == size(). Blocks until all are done; `ctx`
-  /// only needs to outlive the call.
+  /// only needs to outlive the call. A null fn tells the workers to exit.
   using RawFn = void (*)(void* ctx, std::size_t participant);
   void dispatch(RawFn fn, void* ctx, bool include_caller);
+  void publish(RawFn fn, void* ctx);
 
   void worker_loop(std::size_t index);
 
   std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
+  // Written by the dispatching thread before the epoch bump (release), read
+  // by workers after observing it (acquire).
   RawFn fn_ = nullptr;
   void* ctx_ = nullptr;
-  std::uint64_t epoch_ = 0;
-  std::size_t pending_ = 0;
-  bool stop_ = false;
+  std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<std::uint32_t> pending_{0};
+  // Threads currently parked on epoch_ (workers) / pending_ (the caller).
+  std::atomic<std::uint32_t> parked_workers_{0};
+  std::atomic<std::uint32_t> parked_caller_{0};
 };
 
 }  // namespace xphi::util

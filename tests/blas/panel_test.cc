@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "util/matrix.h"
@@ -169,54 +172,84 @@ TEST(TrsmUpper, SingularDiagonalRefusedAndRhsUntouched) {
   }
 }
 
+/// Every pool width the blocked TRSMs must be bitwise-blind to: no pool,
+/// and pools of 1, 2, 3 and 7 workers (2, 3, 4 and 8 participants, so the
+/// per-participant chunk width takes ragged and 16-column-floor values).
+std::vector<std::unique_ptr<ThreadPool>> trsm_pools() {
+  std::vector<std::unique_ptr<ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (std::size_t w : {1u, 2u, 3u, 7u})
+    pools.push_back(std::make_unique<ThreadPool>(w));
+  return pools;
+}
+
+/// (triangle order, right-hand-side columns): column counts around the
+/// 16-column quantum, one past trsm_col_chunk at n = 64 (2049, several L2
+/// chunks at order n), and lu_node's U block (nb = 64 against the first
+/// stage's 3008-column trailing matrix at n = 3072).
+std::vector<std::pair<std::size_t, std::size_t>> trsm_shapes(std::size_t n) {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (std::size_t cols : {1u, 15u, 16u, 17u, 33u, 2049u})
+    shapes.emplace_back(n, cols);
+  shapes.emplace_back(64, 3008);
+  return shapes;
+}
+
+bool same_bits(const Matrix<double>& a, const Matrix<double>& b) {
+  for (std::size_t r = 0; r < a.rows(); ++r)
+    if (std::memcmp(&a(r, 0), &b(r, 0), a.cols() * sizeof(double)) != 0)
+      return false;
+  return true;
+}
+
 TEST(TrsmUpper, BlockedSolveMatchesScalarReference) {
-  // n large enough for several rank-4 groups plus remainders; diagonally
-  // dominant U keeps the back substitution well conditioned.
-  constexpr std::size_t kN = 150, kCols = 9;
-  Matrix<double> u(kN, kN);
-  util::fill_hpl_matrix(u.view(), 20);
-  for (std::size_t i = 0; i < kN; ++i) {
-    double row_sum = 0;
-    for (std::size_t j = i + 1; j < kN; ++j) row_sum += std::abs(u(i, j));
-    u(i, i) = row_sum + 1.0;
-  }
-  Matrix<double> b(kN, kCols), x_ref(kN, kCols);
-  util::fill_hpl_matrix(b.view(), 21);
-  copy(x_ref, b);
-  trsm_left_upper_unblocked<double>(MatrixView<const double>(u.view()),
-                                    x_ref.view());
-  ThreadPool pool(2);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    Matrix<double> x(kN, kCols);
-    copy(x, b);
-    ASSERT_TRUE(trsm_left_upper<double>(MatrixView<const double>(u.view()),
-                                        x.view(), p));
-    for (std::size_t r = 0; r < kN; ++r)
-      for (std::size_t c = 0; c < kCols; ++c)
-        ASSERT_NEAR(x(r, c), x_ref(r, c), 1e-10);
+  // n large enough for several register-block groups plus remainders;
+  // diagonally dominant U keeps the back substitution well conditioned.
+  const auto pools = trsm_pools();
+  for (const auto& [n, cols] : trsm_shapes(150)) {
+    Matrix<double> u(n, n);
+    util::fill_hpl_matrix(u.view(), 20);
+    for (std::size_t i = 0; i < n; ++i) {
+      double row_sum = 0;
+      for (std::size_t j = i + 1; j < n; ++j) row_sum += std::abs(u(i, j));
+      u(i, i) = row_sum + 1.0;
+    }
+    Matrix<double> b(n, cols), x_ref(n, cols);
+    util::fill_hpl_matrix(b.view(), 21);
+    copy(x_ref, b);
+    trsm_left_upper_unblocked<double>(MatrixView<const double>(u.view()),
+                                      x_ref.view());
+    for (const auto& pool : pools) {
+      Matrix<double> x(n, cols);
+      copy(x, b);
+      ASSERT_TRUE(trsm_left_upper<double>(MatrixView<const double>(u.view()),
+                                          x.view(), pool.get()));
+      ASSERT_TRUE(same_bits(x, x_ref))
+          << n << "x" << cols << " workers=" << (pool ? pool->size() : 0);
+    }
   }
 }
 
 TEST(TrsmLowerUnit, BlockedSolveMatchesScalarReference) {
-  constexpr std::size_t kN = 200, kCols = 33;
-  Matrix<double> l(kN, kN);
-  util::fill_hpl_matrix(l.view(), 30);
-  for (std::size_t i = 0; i < kN; ++i)
-    for (std::size_t j = 0; j < kN; ++j) l(i, j) *= 0.05;  // keep growth tame
-  Matrix<double> b(kN, kCols), x_ref(kN, kCols);
-  util::fill_hpl_matrix(b.view(), 31);
-  copy(x_ref, b);
-  trsm_left_lower_unit_unblocked<double>(MatrixView<const double>(l.view()),
-                                         x_ref.view());
-  ThreadPool pool(2);
-  for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    Matrix<double> x(kN, kCols);
-    copy(x, b);
-    trsm_left_lower_unit<double>(MatrixView<const double>(l.view()), x.view(),
-                                 p);
-    for (std::size_t r = 0; r < kN; ++r)
-      for (std::size_t c = 0; c < kCols; ++c)
-        ASSERT_NEAR(x(r, c), x_ref(r, c), 1e-10);
+  const auto pools = trsm_pools();
+  for (const auto& [n, cols] : trsm_shapes(200)) {
+    Matrix<double> l(n, n);
+    util::fill_hpl_matrix(l.view(), 30);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) l(i, j) *= 0.05;  // keep growth tame
+    Matrix<double> b(n, cols), x_ref(n, cols);
+    util::fill_hpl_matrix(b.view(), 31);
+    copy(x_ref, b);
+    trsm_left_lower_unit_unblocked<double>(MatrixView<const double>(l.view()),
+                                           x_ref.view());
+    for (const auto& pool : pools) {
+      Matrix<double> x(n, cols);
+      copy(x, b);
+      trsm_left_lower_unit<double>(MatrixView<const double>(l.view()),
+                                   x.view(), pool.get());
+      ASSERT_TRUE(same_bits(x, x_ref))
+          << n << "x" << cols << " workers=" << (pool ? pool->size() : 0);
+    }
   }
 }
 

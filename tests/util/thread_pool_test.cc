@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util/barrier.h"
@@ -110,6 +112,87 @@ TEST(ThreadPool, ReusableAcrossJobs) {
       sum.fetch_add(static_cast<long>(i));
     });
   EXPECT_EQ(sum.load(), 10 * (99 * 100 / 2));
+}
+
+// Far past the pool's spin window, so every worker (and a waiting caller)
+// has parked on its futex by the time the sleep ends.
+constexpr auto kPastSpinWindow = std::chrono::milliseconds(20);
+
+TEST(ThreadPool, BackToBackSmallDispatchesKeepExactCounts) {
+  // The LU panel's shape of traffic: many tiny dispatches with no gap, so
+  // every handoff lands inside the spin window. Plain (non-atomic) counters:
+  // each index is owned by one participant per dispatch, and the pool's
+  // epoch/pending handoff must order consecutive dispatches.
+  ThreadPool pool(3);
+  constexpr std::size_t kDispatches = 100000;
+  std::size_t hits[4] = {0, 0, 0, 0};
+  for (std::size_t d = 0; d < kDispatches; ++d)
+    pool.parallel_for(4, [&](std::size_t i) { ++hits[i]; });
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(hits[i], kDispatches) << i;
+}
+
+TEST(ThreadPool, DispatchAfterWorkersParkedSeesEveryIndexOnce) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 3; ++round) {
+    std::this_thread::sleep_for(kPastSpinWindow);
+    std::vector<std::atomic<int>> hits(37);
+    pool.parallel_for(hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      ASSERT_EQ(hits[i].load(), 1) << "round " << round << " index " << i;
+    std::this_thread::sleep_for(kPastSpinWindow);
+    std::vector<std::atomic<int>> seen(pool.size());
+    pool.run_on_all([&](std::size_t w) { seen[w].fetch_add(1); });
+    for (std::size_t w = 0; w < seen.size(); ++w)
+      ASSERT_EQ(seen[w].load(), 1) << "round " << round << " worker " << w;
+  }
+}
+
+TEST(ThreadPool, CallerParkedPastSpinWindowWakesOnCompletion) {
+  // One worker outlasts the spin window, so the caller parks on the pending
+  // count and must be woken by the last worker's decrement.
+  ThreadPool pool(2);
+  std::atomic<int> done{0};
+  pool.run_on_all([&](std::size_t w) {
+    if (w == 0) std::this_thread::sleep_for(kPastSpinWindow);
+    done.fetch_add(1);
+  });
+  EXPECT_EQ(done.load(), 2);
+}
+
+TEST(ThreadPool, DestroysWithParkedWorkers) {
+  for (int round = 0; round < 3; ++round) {
+    ThreadPool pool(3);
+    std::this_thread::sleep_for(kPastSpinWindow);
+  }
+  SUCCEED();
+}
+
+TEST(ThreadPool, DestroysRightAfterConstructionOrDispatch) {
+  // Workers still spinning (or not yet started) when the destructor
+  // publishes the exit epoch must still see it.
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool idle(2);
+  }
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(3);
+    std::atomic<int> calls{0};
+    pool.parallel_for(8, [&](std::size_t) { calls.fetch_add(1); });
+    ASSERT_EQ(calls.load(), 8);
+  }
+}
+
+TEST(ThreadPool, AlternatesRunOnAllAndParallelFor) {
+  ThreadPool pool(3);
+  std::vector<int> per_worker(pool.size(), 0);
+  std::size_t hits[5] = {0, 0, 0, 0, 0};
+  constexpr int kRounds = 2000;
+  for (int round = 0; round < kRounds; ++round) {
+    pool.run_on_all([&](std::size_t w) { ++per_worker[w]; });
+    pool.parallel_for(5, [&](std::size_t i) { ++hits[i]; });
+  }
+  for (std::size_t w = 0; w < per_worker.size(); ++w)
+    EXPECT_EQ(per_worker[w], kRounds) << w;
+  for (std::size_t i = 0; i < 5; ++i) EXPECT_EQ(hits[i], std::size_t{kRounds}) << i;
 }
 
 TEST(SpinBarrier, SynchronizesPhases) {
