@@ -34,7 +34,9 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # worker threads would show up here.
 "$BUILD_DIR/tests/test_microkernel" --gtest_filter='Microkernel*'
 "$BUILD_DIR/tests/test_lu" --gtest_filter='FunctionalDagLu*:DagLuFactor*'
-"$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*'
+# The resident offload engine: its pool serves every stage of a hybrid
+# factorization, beside the look-ahead panel's std::async thread.
+"$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*:HybridFunctional*'
 "$BUILD_DIR/tests/test_net"  # messaging layer + coroutine scheduler
 # Engine conformance: seeded random traffic, both collective families and
 # the 1024-rank bounded-pool run, all on coroutine stacks (the build maps

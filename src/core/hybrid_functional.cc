@@ -26,9 +26,11 @@ HybridFunctionalResult run_functional_hybrid_hpl(
   if (cfg.scheme == FunctionalScheme::kBasic) subsets = 1;
   if (cfg.scheme == FunctionalScheme::kPipelined)
     subsets = std::max(1, cfg.pipeline_subsets);
+  // One engine serves every trailing update of the factorization.
+  OffloadEngine engine(cfg.offload);
   blas::StageLoopStats stats;
   const bool factored = blas::getrf_stages<double>(
-      a.view(), ipiv, cfg.nb, {}, OffloadUpdate{cfg.offload}, subsets, &stats);
+      a.view(), ipiv, cfg.nb, {}, OffloadUpdate{engine}, subsets, &stats);
   res.lookahead_panels = stats.lookahead_panels;
   if (cfg.scheme == FunctionalScheme::kPipelined)
     res.pipelined_subsets = stats.column_updates;

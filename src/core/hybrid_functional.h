@@ -1,11 +1,12 @@
 // Functional (real-numerics) single-node hybrid HPL with look-ahead.
 //
 // The twin of Figure 8, executed with real threads and real math: the LU
-// stage loop of blas/getrf.h with its trailing update routed through the
-// offload engine (card threads + two-ended work stealing from
-// core/offload_functional.h). Under look-ahead each stage updates the
-// columns of the *next* panel first; that panel then factors on a
-// concurrent "host" thread while the engine updates the rest of the
+// stage loop of blas/getrf.h with its trailing update routed through one
+// resident core::OffloadEngine (core/offload_functional.h), built once per
+// factorization: its card participants and two-ended work stealing stay in
+// one pool that serves every stage's update. Under look-ahead each stage
+// updates the columns of the *next* panel first; that panel then factors on
+// a concurrent "host" thread while the engine updates the rest of the
 // trailing matrix. The result is residual-checked like every other driver.
 #pragma once
 

@@ -1,14 +1,23 @@
 // Functional (real-numerics) twin of offload DGEMM.
 //
-// Mirrors Figure 10b with host threads standing in for the coprocessor(s):
-// the host packs each stolen tile's operands into Knights Corner tile format
-// and enqueues a request; a card thread dequeues, runs the tiled GEMM kernel
-// on the packed operands into a "device-memory" buffer, and enqueues the
-// result; an accumulator thread folds results back into the original C. The
-// host can simultaneously steal tiles from the opposite corner and compute
-// them in place. Tests validate the result against the reference GEMM, that
-// every tile is processed exactly once, and that partial-tile merging covers
-// ragged shapes.
+// Mirrors Figure 10b with host threads standing in for the coprocessor(s).
+// An OffloadEngine is built once per factorization and keeps its participants
+// resident in one util::ThreadPool, the way the paper keeps its card-side
+// workers resident behind the request/response queues (Section V). Each
+// call is one pool dispatch:
+//   - the caller plays the host pack/DMA cores: it steals tiles from the
+//     front, packs their operands into Knights Corner tile format, enqueues
+//     requests and runs the reliability loop;
+//   - the pool workers are card participants, split across the cards. Any
+//     participant of a card dequeues a request, runs the tiled GEMM kernel
+//     on the packed operands into a product buffer it reuses ("device
+//     memory"), enqueues the result, and then folds whatever results are
+//     queued back into C, so every card participant shares the fold;
+//   - with host_steals, one worker first steals tiles from the opposite
+//     corner and computes them in place, then joins its card.
+// Tests validate the result against the reference GEMM, that every tile is
+// processed exactly once, and that partial-tile merging covers ragged
+// shapes.
 //
 // With a fault::Injector attached the link becomes unreliable and the
 // engine runs a reliability protocol over it: every request/result carries
@@ -16,12 +25,15 @@
 // discarded and resent with bounded retries and exponential backoff, a
 // vanished transfer is recovered by a retry timeout, duplicated transfers
 // are deduplicated by per-tile completion state, and a card that dies
-// mid-run has its outstanding and undeliverable tiles absorbed by the
+// mid-call has its outstanding and undeliverable tiles absorbed by the
 // surviving cards or computed host-side (the same two-ended work split as
-// host stealing, so re-homing never changes a bit of the result).
+// host stealing, so re-homing never changes a bit of the result). A card's
+// death is scripted per call: every call starts with all cards alive and
+// counts each card's dequeued requests from zero.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 
 #include "tune/knobs.h"
 #include "util/matrix.h"
@@ -76,21 +88,57 @@ struct FunctionalOffloadStats {
   std::size_t cards_lost = 0;         // cards that died mid-run
 };
 
-/// C (m x n) += alpha * A (m x k) * B (k x n), executed with the offload
-/// structure. Returns per-run statistics.
+/// Resident offload participants: one pool of max(cards,
+/// hardware_concurrency - 1) workers plus the calling thread, and the
+/// workers' product buffers, reused by every call. One caller at a time (a
+/// ThreadPool has one dispatcher); calls from different threads need
+/// different engines.
+class OffloadEngine {
+ public:
+  /// Starts the workers. Throws std::invalid_argument if config.cards < 1.
+  explicit OffloadEngine(const FunctionalOffloadConfig& config);
+  ~OffloadEngine();
+
+  OffloadEngine(const OffloadEngine&) = delete;
+  OffloadEngine& operator=(const OffloadEngine&) = delete;
+
+  /// C (m x n) += alpha * A (m x k) * B (k x n), executed with the offload
+  /// structure. Returns per-call statistics.
+  FunctionalOffloadStats gemm(double alpha, util::MatrixView<const double> a,
+                              util::MatrixView<const double> b,
+                              util::MatrixView<double> c);
+
+  /// Pool workers started by this engine (the caller is not counted).
+  std::size_t workers() const noexcept;
+
+ private:
+  struct Resident;
+  OffloadEngine(const FunctionalOffloadConfig& config, std::size_t workers);
+  friend FunctionalOffloadStats offload_gemm_functional(
+      double, util::MatrixView<const double>, util::MatrixView<const double>,
+      util::MatrixView<double>, const FunctionalOffloadConfig&);
+
+  FunctionalOffloadConfig config_;
+  std::unique_ptr<Resident> resident_;
+};
+
+/// One-shot engine: builds an OffloadEngine for this call alone (with no
+/// more workers than the call has tiles to share out), runs it once and
+/// tears it down.
 FunctionalOffloadStats offload_gemm_functional(
     double alpha, util::MatrixView<const double> a,
     util::MatrixView<const double> b, util::MatrixView<double> c,
     const FunctionalOffloadConfig& config = {});
 
-/// The LU stage engine's trailing update (blas/getrf.h) through the offload
-/// engine: a22 -= l21 * u.
+/// The LU stage engine's trailing update (blas/getrf.h) through a resident
+/// offload engine: a22 -= l21 * u. Every stage of a factorization reuses
+/// the same engine.
 struct OffloadUpdate {
-  const FunctionalOffloadConfig& config;
+  OffloadEngine& engine;
   void operator()(util::MatrixView<const double> l21,
                   util::MatrixView<const double> u,
                   util::MatrixView<double> a22) const {
-    offload_gemm_functional(-1.0, l21, u, a22, config);
+    engine.gemm(-1.0, l21, u, a22);
   }
 };
 

@@ -144,11 +144,13 @@ void worker_main(net::Comm& comm, const ServeConfig& cfg,
           // Trailing updates through the offload engine (cards +
           // reliability protocol): the path chaos tests use to kill a card
           // mid-factorization. Dead-card re-homing never changes a bit.
+          // One engine per factorization serves all its stages.
           core::FunctionalOffloadConfig oc;
           oc.cards = cfg.factor_cards;
           oc.injector = cfg.injector;
+          core::OffloadEngine engine(oc);
           ok = blas::getrf_stages<double>(fresh->lu.view(), fresh->ipiv, nb,
-                                          {}, core::OffloadUpdate{oc});
+                                          {}, core::OffloadUpdate{engine});
         } else if (cfg.factor_workers > 1) {
           ok = lu::dag_lu_factor(fresh->lu.view(), fresh->ipiv, nb,
                                  cfg.factor_workers);

@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <type_traits>
 #include <vector>
@@ -102,6 +103,20 @@ class ThreadPool {
 
   /// Runs body(worker_index) once on every worker. Blocks until complete.
   void run_on_all(const std::function<void(std::size_t)>& body);
+
+  /// Runs body(participant) once on every worker (participant = worker
+  /// index) and once on the calling thread (participant == size()), all
+  /// concurrently; blocks until every call returns. Lets a client give the
+  /// caller its own role beside the workers' (the offload engine's host
+  /// pack/DMA participant beside its card participants).
+  template <class Body>
+  void run_with_caller(Body&& body) {
+    using BodyT = std::remove_reference_t<Body>;
+    dispatch(
+        [](void* ctx, std::size_t part) { (*static_cast<BodyT*>(ctx))(part); },
+        const_cast<void*>(static_cast<const void*>(std::addressof(body))),
+        /*include_caller=*/true);
+  }
 
  private:
   /// Raw dispatch primitive: runs fn(ctx, participant) on every worker

@@ -139,7 +139,8 @@ bool offload_client(util::MatrixView<double> a, std::span<std::size_t> ipiv,
   oc.host_steals = kSteals;
   oc.knobs.mt = 24;
   oc.knobs.nt = 24;
-  return getrf_stages<double>(a, ipiv, nb, {}, core::OffloadUpdate{oc},
+  core::OffloadEngine engine(oc);
+  return getrf_stages<double>(a, ipiv, nb, {}, core::OffloadUpdate{engine},
                               kSubsets);
 }
 
@@ -230,9 +231,10 @@ TEST_F(StageEngine, LookaheadStatsCountStagesAndSubsets) {
     auto a = input<double>(n);
     std::vector<std::size_t> ipiv(n);
     StageLoopStats st;
-    core::FunctionalOffloadConfig oc;
+    core::OffloadEngine engine(core::FunctionalOffloadConfig{});
     ASSERT_TRUE(getrf_stages<double>(a.view(), ipiv, nb, {},
-                                     core::OffloadUpdate{oc}, subsets, &st));
+                                     core::OffloadUpdate{engine}, subsets,
+                                     &st));
     EXPECT_EQ(st.lookahead_panels, 4u);
     EXPECT_EQ(st.column_updates, updates) << subsets << " subsets";
   }

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
+#include <stdexcept>
+#include <vector>
 
 #include "blas/gemm_ref.h"
 #include "blas/gemm_tiled.h"
+#include "blas/getrf.h"
 #include "util/rng.h"
 
 namespace xphi::core {
@@ -147,6 +151,113 @@ TEST(OffloadFunctional, EveryKernelPinBitwiseEqualsGemmTiled) {
         }
       }
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A resident engine serving many calls
+// ---------------------------------------------------------------------------
+
+TEST(OffloadFunctional, OneEngineServesManyCallsOfVariedShapes) {
+  // Ragged, single-tile, k = 1, and m or n below one tile, back to back on
+  // one engine: reused pool, reused product buffers. Each answer is bitwise
+  // gemm_tiled's with one k-chunk.
+  struct Shape {
+    std::size_t m, n, k;
+  };
+  const Shape shapes[] = {{173, 141, 29}, {10, 12, 8}, {96, 80, 1},
+                          {20, 150, 17},  {150, 20, 33}, {64, 64, 64},
+                          {1, 1, 1},      {130, 97, 64}};
+  for (const int cards : {1, 2}) {
+    for (const bool steals : {true, false}) {
+      FunctionalOffloadConfig cfg;
+      cfg.knobs.mt = 32;
+      cfg.knobs.nt = 48;
+      cfg.cards = cards;
+      cfg.host_steals = steals;
+      OffloadEngine engine(cfg);
+      EXPECT_GE(engine.workers(), static_cast<std::size_t>(cards));
+      std::size_t tiles = 0;
+      for (int call = 0; call < 52; ++call) {
+        const Shape s = shapes[call % std::size(shapes)];
+        SCOPED_TRACE(testing::Message()
+                     << "cards " << cards << " steals " << steals << " call "
+                     << call << " shape " << s.m << "x" << s.n << "x" << s.k);
+        Matrix<double> a(s.m, s.k), b(s.k, s.n), c(s.m, s.n), want(s.m, s.n);
+        util::fill_hpl_matrix(a.view(), 100 + call);
+        util::fill_hpl_matrix(b.view(), 200 + call);
+        util::fill_hpl_matrix(c.view(), 300 + call);
+        util::fill_hpl_matrix(want.view(), 300 + call);
+        const double alpha = call % 2 == 0 ? -1.0 : 0.5;
+        blas::GemmOptions go;
+        go.chunk_k = s.k;
+        blas::gemm_tiled<double>(alpha, a.view(), b.view(), 1.0, want.view(),
+                                 go);
+        const auto stats = engine.gemm(alpha, a.view(), b.view(), c.view());
+        EXPECT_EQ(stats.tiles_cards + stats.tiles_host, stats.tiles_total);
+        if (!steals) {
+          EXPECT_EQ(stats.tiles_host, 0u);
+        }
+        tiles += stats.tiles_total;
+        ASSERT_EQ(util::max_abs_diff<double>(c.view(), want.view()), 0.0);
+      }
+      EXPECT_GT(tiles, 52u);
+    }
+  }
+}
+
+TEST(OffloadFunctional, EngineDestroyedRightAfterConstructionOrACall) {
+  for (const int cards : {1, 2}) {
+    FunctionalOffloadConfig cfg;
+    cfg.cards = cards;
+    { OffloadEngine idle(cfg); }
+    Matrix<double> a(70, 9), b(9, 70), c(70, 70);
+    util::fill_hpl_matrix(a.view(), 1);
+    util::fill_hpl_matrix(b.view(), 2);
+    c.fill(0.0);
+    {
+      OffloadEngine once(cfg);
+      const auto stats = once.gemm(1.0, a.view(), b.view(), c.view());
+      EXPECT_EQ(stats.tiles_cards + stats.tiles_host, stats.tiles_total);
+    }
+  }
+  FunctionalOffloadConfig none;
+  none.cards = 0;
+  EXPECT_THROW(OffloadEngine{none}, std::invalid_argument);
+}
+
+TEST(OffloadFunctional, ReusedEngineHybridSolveMatchesOneShot) {
+  // A whole look-ahead factorization through one engine, twice, against
+  // the one-shot engine per update: identical factors and pivots.
+  const std::size_t n = 200, nb = 32;
+  FunctionalOffloadConfig cfg;
+  cfg.knobs.mt = 40;
+  cfg.knobs.nt = 24;
+  cfg.cards = 2;
+  cfg.host_steals = true;
+  Matrix<double> want(n, n);
+  util::fill_hpl_matrix(want.view(), 17);
+  std::vector<std::size_t> want_piv(n);
+  const auto one_shot = [&](util::MatrixView<const double> l21,
+                            util::MatrixView<const double> u,
+                            util::MatrixView<double> a22) {
+    offload_gemm_functional(-1.0, l21, u, a22, cfg);
+  };
+  ASSERT_TRUE(blas::getrf_stages<double>(want.view(), want_piv, nb, {},
+                                         one_shot, 1));
+  OffloadEngine engine(cfg);
+  for (int run = 0; run < 2; ++run) {
+    Matrix<double> a(n, n);
+    util::fill_hpl_matrix(a.view(), 17);
+    std::vector<std::size_t> piv(n);
+    ASSERT_TRUE(blas::getrf_stages<double>(a.view(), piv, nb, {},
+                                           OffloadUpdate{engine}, 1));
+    EXPECT_EQ(piv, want_piv) << "run " << run;
+    for (std::size_t r = 0; r < n; ++r)
+      ASSERT_EQ(std::memcmp(a.data() + r * a.ld(), want.data() + r * want.ld(),
+                            n * sizeof(double)),
+                0)
+          << "run " << run << " row " << r;
   }
 }
 

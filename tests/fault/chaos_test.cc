@@ -8,9 +8,12 @@
 // the residual.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "blas/gemm_ref.h"
+#include "blas/getrf.h"
 #include "core/offload_functional.h"
 #include "fault/injector.h"
 #include "hpl/distributed.h"
@@ -23,6 +26,8 @@ namespace {
 
 using core::FunctionalOffloadConfig;
 using core::FunctionalOffloadStats;
+using core::OffloadEngine;
+using core::OffloadUpdate;
 using core::offload_gemm_functional;
 using fault::Action;
 using fault::FaultEvent;
@@ -201,6 +206,53 @@ TEST(Chaos, FaultStallsAppearAsTimelineSpans) {
   EXPECT_GT(tl.busy_by_kind()[trace::SpanKind::kFault], 0.0);
   for (const trace::Span& s : tl.spans())
     EXPECT_EQ(s.kind, trace::SpanKind::kFault);
+}
+
+TEST(Chaos, CardDiesInEveryCallOfAReusedEngineBitwiseFactors) {
+  // A whole look-ahead LU through one resident engine. The scripted death
+  // is per call: card 0 dies after two tiles in every trailing update that
+  // hands it a third, so every such call re-homes tiles, and the next call
+  // starts with all cards alive on the same pool.
+  const std::size_t n = 192, nb = 32;
+  const auto factor = [&](const FunctionalOffloadConfig& cfg, Matrix<double>& a,
+                          std::vector<std::size_t>& piv) {
+    util::fill_hpl_matrix(a.view(), 29);
+    OffloadEngine engine(cfg);
+    return blas::getrf_stages<double>(a.view(), piv, nb, {},
+                                      OffloadUpdate{engine}, 1);
+  };
+  for (const int cards : {1, 2}) {
+    FunctionalOffloadConfig clean;
+    clean.knobs.mt = clean.knobs.nt = 32;
+    clean.cards = cards;
+    clean.host_steals = false;
+    Matrix<double> want(n, n);
+    std::vector<std::size_t> want_piv(n);
+    ASSERT_TRUE(factor(clean, want, want_piv));
+
+    InjectorConfig fc;
+    fc.dead_card = 0;
+    fc.card_death_after = 2;
+    Injector inj(fc);
+    FunctionalOffloadConfig cfg = clean;
+    cfg.injector = &inj;
+    cfg.retry_timeout_ms = 5;
+    Matrix<double> got(n, n);
+    std::vector<std::size_t> piv(n);
+    ASSERT_TRUE(factor(cfg, got, piv));
+
+    // With one card every call of more than two tiles must reach the
+    // third dequeue; with two the survivor may drain a call first.
+    if (cards == 1) {
+      EXPECT_GT(inj.count(Site::kDmaRequest, Action::kKill), 1u);
+    }
+    EXPECT_EQ(piv, want_piv) << "cards " << cards;
+    for (std::size_t r = 0; r < n; ++r)
+      ASSERT_EQ(std::memcmp(got.data() + r * got.ld(),
+                            want.data() + r * want.ld(), n * sizeof(double)),
+                0)
+          << "cards " << cards << " row " << r;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -42,6 +42,22 @@ TEST(ThreadPool, RunOnAllGivesDistinctIndices) {
   for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
+TEST(ThreadPool, RunWithCallerGivesTheCallerTheLastIndex) {
+  ThreadPool pool(3);
+  const auto caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> seen(4);
+  std::atomic<int> on_caller{-1};
+  for (int rep = 0; rep < 20; ++rep) {
+    pool.run_with_caller([&](std::size_t part) {
+      seen[part].fetch_add(1);
+      if (std::this_thread::get_id() == caller)
+        on_caller.store(static_cast<int>(part));
+    });
+  }
+  for (const auto& s : seen) EXPECT_EQ(s.load(), 20);
+  EXPECT_EQ(on_caller.load(), 3);
+}
+
 TEST(ThreadPool, DynamicSchedulingCoversAllIndicesExactlyOnce) {
   // Counts large enough to trigger the atomic-claiming path, with ragged
   // remainders against every grain.
