@@ -1,17 +1,15 @@
-// Autotuning driver: runs the tune::Tuner over every tunable op at its
+// Offline autotuning sweep: runs tune::search over every swept op at its
 // paper shapes and reports default vs tuned GF/s (the payoff artifact of
 // the src/tune subsystem, BENCH_tune.json).
 //
 // Each op's search is seeded at the engine's built-in default choice, so
 // "tuned" can only match or beat "default" — both numbers come from the
-// same cost oracle (the src/sim models for the projected ops, wall-clock
-// for the functional engine). The winners land in a TuningDB file
-// (--db, default tunedb.json): a later run — or any consumer passing a
-// warm-started Tuner — reproduces the tuned knobs without searching.
+// same cost oracle (the src/sim model for native_lu, wall-clock for the
+// measured ops). Nothing is persisted: the engines keep their built-in
+// defaults, and a knob only changes when a row here justifies editing one.
 //
 // Flags:
 //   --budget N   max distinct evaluations per (op, shape)   [default 48]
-//   --db PATH    TuningDB to warm-start from and save to    [tunedb.json]
 //   --out PATH   JSON artifact                              [BENCH_tune.json]
 //   --seed N     restart-stream seed                        [1]
 //   --smoke      tiny shapes + small budget (the ctest gate)
@@ -23,15 +21,13 @@
 #include <vector>
 
 #include "blas/lu_kernels.h"
-#include "core/hybrid_hpl.h"
-#include "hpl/mixed.h"
-#include "core/offload_dgemm.h"
 #include "core/offload_functional.h"
 #include "hpcc/beff.h"
 #include "json_out.h"
-#include "net/world.h"
 #include "lu/sim_scheduler.h"
+#include "net/world.h"
 #include "sim/lu_model.h"
+#include "tune/bucket.h"
 #include "tune/search_space.h"
 #include "tune/tuner.h"
 #include "util/flops.h"
@@ -46,7 +42,6 @@ struct Options {
   int budget = 48;
   std::uint64_t seed = 1;
   bool smoke = false;
-  std::string db = "tunedb.json";
   std::string out = "BENCH_tune.json";
 };
 
@@ -59,8 +54,6 @@ Options parse(int argc, char** argv) {
     };
     if (a == "--budget") {
       o.budget = std::atoi(next());
-    } else if (a == "--db") {
-      o.db = next();
     } else if (a == "--out") {
       o.out = next();
     } else if (a == "--seed") {
@@ -69,8 +62,8 @@ Options parse(int argc, char** argv) {
       o.smoke = true;
     } else {
       std::fprintf(stderr,
-                   "usage: bench_tune [--budget N] [--db PATH] [--out PATH] "
-                   "[--seed N] [--smoke]\n");
+                   "usage: bench_tune [--budget N] [--out PATH] [--seed N] "
+                   "[--smoke]\n");
       std::exit(a == "--help" ? 0 : 2);
     }
   }
@@ -170,55 +163,13 @@ void report(const std::vector<OpRow>& rows, const Options& opt) {
 int main(int argc, char** argv) {
   const Options opt = parse(argc, argv);
 
-  tune::Tuner tuner;
-  if (tuner.load(opt.db))
-    std::printf("Warm start: merged %zu entries from %s.\n",
-                tuner.db().size(), opt.db.c_str());
+  tune::SearchOptions base;
+  base.budget = opt.budget;
+  base.seed = opt.seed;
 
-  tune::SearchOptions search;
-  search.budget = opt.budget;
-  search.seed = opt.seed;
-
-  const sim::KncGemmModel knc;
-  const sim::SnbModel snb;
-  const sim::SnbLuModel snb_lu;
   const sim::KncLuModel knc_lu;
-  const pci::PcieLink link;
-  const net::CostModel net_model;
 
   std::vector<OpRow> rows;
-
-  // --- offload DGEMM (Mt, Nt): Figure 11 trailing-update shapes. ---------
-  {
-    const std::vector<std::size_t> shapes =
-        opt.smoke ? std::vector<std::size_t>{10000, 30000}
-                  : std::vector<std::size_t>{10000, 30000, 52000, 82000};
-    const tune::SearchSpace space = tune::spaces::offload_tiles();
-    for (std::size_t n : shapes) {
-      core::OffloadDgemmConfig cfg;
-      cfg.m = cfg.n = n;
-      // Seed at the engine's runtime-adaptive pick: "default" below is
-      // exactly what simulate_offload_dgemm does with no knobs set.
-      const auto pick = core::tune_tile_size(cfg.m, cfg.n, cfg.kt, knc, link);
-      tune::SearchOptions so = search;
-      so.start = {space.nearest_index(0, static_cast<long long>(pick.first)),
-                  space.nearest_index(1, static_cast<long long>(pick.second))};
-      const tune::ShapeBucket shape = tune::bucket(cfg.m, cfg.n, cfg.kt);
-      OpRow row{.op = "offload_dgemm", .shape_n = n, .bucket = shape.key(),
-                .flops = 2.0 * cfg.m * cfg.n * cfg.kt};
-      row.result = tuner.tune(
-          row.op, shape, space,
-          [&](const std::vector<long long>& v) {
-            core::OffloadDgemmConfig c = cfg;
-            c.knobs.mt = static_cast<std::size_t>(v[0]);
-            c.knobs.nt = static_cast<std::size_t>(v[1]);
-            return core::simulate_offload_dgemm(c, knc, snb, link).seconds;
-          },
-          so);
-      row.knobs = knob_string(space, row.result.best);
-      rows.push_back(std::move(row));
-    }
-  }
 
   // --- native LU super-stage policy: Figure 6 problem sizes. -------------
   {
@@ -232,8 +183,8 @@ int main(int argc, char** argv) {
       const tune::ShapeBucket shape = tune::bucket(n, n, kNb);
       OpRow row{.op = "native_lu", .shape_n = n, .bucket = shape.key(),
                 .flops = util::linpack_flops(n)};
-      row.result = tuner.tune(
-          row.op, shape, space,
+      row.result = tune::search(
+          space,
           [&](const std::vector<long long>& v) {
             lu::NativeLuConfig cfg;
             cfg.n = n;
@@ -243,64 +194,13 @@ int main(int argc, char** argv) {
                 static_cast<std::size_t>(v[1]));
             return lu::simulate_dynamic_lu(cfg, knc_lu, plan).seconds;
           },
-          search);
+          base);
       row.knobs = knob_string(space, row.result.best);
       rows.push_back(std::move(row));
     }
   }
 
-  // --- hybrid HPL look-ahead scheme: Figure 8 / Table III shapes. --------
-  {
-    const std::vector<std::size_t> shapes =
-        opt.smoke ? std::vector<std::size_t>{42000}
-                  : std::vector<std::size_t>{42000, 84000};
-    const tune::SearchSpace space = tune::spaces::lookahead();
-    for (std::size_t n : shapes) {
-      const tune::ShapeBucket shape = tune::bucket(n, n, 1200);
-      OpRow row{.op = "hybrid_hpl", .shape_n = n, .bucket = shape.key(),
-                .flops = util::linpack_flops(n)};
-      row.result = tuner.tune(
-          row.op, shape, space,
-          [&](const std::vector<long long>& v) {
-            core::HybridHplConfig cfg;
-            cfg.n = n;
-            cfg.scheme = static_cast<core::Lookahead>(v[0]);
-            cfg.pipeline_subsets = static_cast<int>(v[1]);
-            return core::simulate_hybrid_hpl(cfg, knc, snb, snb_lu, link,
-                                             net_model)
-                .seconds;
-          },
-          search);
-      row.knobs = knob_string(space, row.result.best);
-      rows.push_back(std::move(row));
-    }
-  }
-
-  // --- DGEMM panel depth k: the Table II sweep as a 1-D search. ----------
-  {
-    const std::vector<std::size_t> shapes =
-        opt.smoke ? std::vector<std::size_t>{8000}
-                  : std::vector<std::size_t>{8000, 28000};
-    const tune::SearchSpace space = tune::spaces::gemm_chunk();
-    const int cores = knc.spec().compute_cores();
-    for (std::size_t n : shapes) {
-      const tune::ShapeBucket shape = tune::bucket(n, n, 1200);
-      OpRow row{.op = "gemm_chunk", .shape_n = n, .bucket = shape.key(),
-                .flops = 2.0 * n * n * 1200};
-      row.result = tuner.tune(
-          row.op, shape, space,
-          [&](const std::vector<long long>& v) {
-            return knc.gemm_seconds(n, n, 1200,
-                                    static_cast<std::size_t>(v[0]), true,
-                                    sim::Precision::kDouble, cores);
-          },
-          search);
-      row.knobs = knob_string(space, row.result.best);
-      rows.push_back(std::move(row));
-    }
-  }
-
-  // --- Functional offload engine: the one *measured* op. -----------------
+  // --- Functional offload engine: the first *measured* op. ---------------
   // Same search engine, wall-clock oracle: real threads, real packing, real
   // queues. Both "default" and "tuned" are measured through the identical
   // callback, so the comparison stays apples-to-apples even though the
@@ -316,10 +216,10 @@ int main(int argc, char** argv) {
     const tune::ShapeBucket shape = tune::bucket(m, n, k);
     OpRow row{.op = "offload_functional", .shape_n = m, .bucket = shape.key(),
               .flops = 2.0 * m * n * k};
-    tune::SearchOptions so = search;
+    tune::SearchOptions so = base;
     if (opt.smoke && so.budget > 3) so.budget = 3;
-    row.result = tuner.tune(
-        row.op, shape, space,
+    row.result = tune::search(
+        space,
         [&](const std::vector<long long>& v) {
           core::FunctionalOffloadConfig cfg;
           cfg.knobs.mt = static_cast<std::size_t>(v[0]);
@@ -358,11 +258,11 @@ int main(int argc, char** argv) {
     OpRow row{.op = "panel", .shape_n = m, .bucket = shape.key(),
               .flops = static_cast<double>(jb) * jb *
                        (static_cast<double>(m) - jb / 3.0)};
-    tune::SearchOptions so = search;
+    tune::SearchOptions so = base;
     so.start = {space.nearest_index(0, 8), space.nearest_index(1, 256)};
     if (opt.smoke && so.budget > 3) so.budget = 3;
-    row.result = tuner.tune(
-        row.op, shape, space,
+    row.result = tune::search(
+        space,
         [&](const std::vector<long long>& v) {
           blas::PanelOptions popt;
           popt.nb_min = static_cast<std::size_t>(v[0]);
@@ -418,12 +318,12 @@ int main(int argc, char** argv) {
       return dt.count() > 1e-9 ? dt.count() : 1e-9;
     };
 
-    // Default-seeded, full budget: the DB entry drivers consume.
+    // Default-seeded, full budget.
     OpRow row{.op = "microkernel", .shape_n = n, .bucket = shape.key(),
               .flops = 2.0 * n * n * n};
-    tune::SearchOptions so = search;
+    tune::SearchOptions so = base;
     if (opt.smoke && so.budget > 3) so.budget = 3;
-    row.result = tuner.tune(row.op, shape, space, eval, so);
+    row.result = tune::search(space, eval, so);
     row.knobs = knob_string(space, row.result.best);
     microkernel_default_start = row.result.start_cost;
     microkernel_default_evals = row.result.evaluations;
@@ -436,7 +336,7 @@ int main(int argc, char** argv) {
     mso.budget = std::max(1, so.budget / 2);
     mso.restarts = 0;  // trust the seed: no random restarts
     mso.start = tune::spaces::microkernel_seed(space);
-    mrow.result = tuner.search(space, eval, mso);
+    mrow.result = tune::search(space, eval, mso);
     mrow.knobs = knob_string(space, mrow.result.best);
     microkernel_model_best = mrow.result.best_cost;
     microkernel_model_evals = mrow.result.evaluations;
@@ -446,42 +346,6 @@ int main(int argc, char** argv) {
         microkernel_default_evals, so.budget, microkernel_model_evals,
         mso.budget);
     rows.push_back(std::move(mrow));
-  }
-
-  // --- Mixed-precision HPL: wall-clock end-to-end solve. -----------------
-  // Searches the fp32 panel width (mixed_nb) and the micro-kernel shape the
-  // fp32 GEMM dispatches, seeded at the solver defaults (nb=64, auto
-  // dispatch) so "default" is exactly what solve_mixed does untuned. The
-  // oracle is the full solve (demote + fp32 factor + refinement), so a
-  // candidate that speeds the factor but stalls refinement cannot win.
-  {
-    const std::size_t n = opt.smoke ? 128 : 512;
-    util::ThreadPool pool(3);
-    const tune::SearchSpace space = tune::spaces::mixed();
-    const tune::ShapeBucket shape = tune::bucket(n, n, 64);
-    OpRow row{.op = "mixed_hpl", .shape_n = n, .bucket = shape.key(),
-              .flops = util::linpack_flops(n)};
-    tune::SearchOptions so = search;
-    so.start = {space.nearest_index(0, 64), space.nearest_index(1, 0)};
-    if (opt.smoke && so.budget > 3) so.budget = 3;
-    row.result = tuner.tune(
-        row.op, shape, space,
-        [&](const std::vector<long long>& v) {
-          hpl::MixedOptions mo;
-          mo.nb = static_cast<std::size_t>(v[0]);
-          mo.microkernel = static_cast<int>(v[1]);
-          mo.pool = &pool;
-          const auto t0 = std::chrono::steady_clock::now();
-          const hpl::MixedSolveResult r = hpl::solve_mixed_seeded(n, 42, mo);
-          const std::chrono::duration<double> dt =
-              std::chrono::steady_clock::now() - t0;
-          // A diverging candidate must never win on speed.
-          if (!r.ok) return 1e9;
-          return dt.count() > 1e-9 ? dt.count() : 1e-9;
-        },
-        so);
-    row.knobs = knob_string(space, row.result.best);
-    rows.push_back(std::move(row));
   }
 
   // --- net collective dispatch: the fourth *measured* op, b_eff-seeded. --
@@ -512,9 +376,9 @@ int main(int argc, char** argv) {
     OpRow row{.op = "net", .shape_n = static_cast<std::size_t>(grid_dim *
                                                                grid_dim),
               .bucket = shape.key(), .flops = bytes};
-    tune::SearchOptions so = search;
+    tune::SearchOptions so = base;
     if (opt.smoke && so.budget > 3) so.budget = 3;
-    row.result = tuner.tune(row.op, shape, space, eval, so);
+    row.result = tune::search(space, eval, so);
     row.knobs = knob_string(space, row.result.best);
     net_default_start = row.result.start_cost;
     net_default_evals = row.result.evaluations;
@@ -542,7 +406,7 @@ int main(int argc, char** argv) {
       sso.budget = static_cast<int>(net_default_evals) - 1;
     sso.restarts = 0;  // trust the measured seed: no random restarts
     sso.start = hpcc::seed_net_point(beff.probes, space);
-    srow.result = tuner.search(space, eval, sso);
+    srow.result = tune::search(space, eval, sso);
     srow.knobs = knob_string(space, srow.result.best);
     net_seed_best = srow.result.best_cost;
     net_seed_evals = srow.result.evaluations;
@@ -555,15 +419,9 @@ int main(int argc, char** argv) {
   }
 
   std::printf("Autotuning sweep: budget %d per (op, shape), seed %llu%s\n\n",
-              opt.budget, static_cast<unsigned long long>(search.seed),
+              opt.budget, static_cast<unsigned long long>(base.seed),
               opt.smoke ? " (smoke)" : "");
   report(rows, opt);
-
-  if (tuner.save(opt.db))
-    std::printf("Saved %zu tuned entries to %s.\n", tuner.db().size(),
-                opt.db.c_str());
-  else
-    std::fprintf(stderr, "warning: could not write %s\n", opt.db.c_str());
 
   // The structural guarantee the JSON asserts: tuned >= default everywhere.
   for (const OpRow& r : rows) {

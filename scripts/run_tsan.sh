@@ -43,14 +43,15 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # them through the TSan fiber API; a missed fiber switch reports here).
 "$BUILD_DIR/tests/test_net_conformance"
 "$BUILD_DIR/tests/test_hpl" --gtest_filter='DistributedHpl.Lookahead*:DistributedHpl.Pipelined*:DistributedHpl.CommStats*:DistributedHpl.DistributedResidual*'
-# Mixed precision: fp32 DAG factorization, the distributed refinement loop
-# on coroutine ranks, and the chaos cases (net faults + dead offload card
-# mid-factor) — refinement-trace determinism under real thread interleaving.
+# Mixed precision: fp32 blocked factorization, the distributed refinement
+# loop on coroutine ranks, and the chaos cases (net faults + dead offload
+# card mid-factor) — refinement-trace determinism under real thread
+# interleaving.
 "$BUILD_DIR/tests/test_mixed"
 "$BUILD_DIR/tests/test_fault"  # injector determinism + the whole chaos harness
-# Tuned knobs feed the threaded offload engine and the DAG LU executor: the
-# consumer-integration tests re-run those engines with DB-supplied knobs.
-"$BUILD_DIR/tests/test_tune" --gtest_filter='Consumers.*'
+# Knob points feed the threaded offload engine: the test re-runs it with
+# several explicit tune::Knobs records and compares C bit for bit.
+"$BUILD_DIR/tests/test_tune" --gtest_filter='Consumers.TuningChangesSpeedNeverResults'
 # Solve server: real worker threads against the virtual-time dispatcher,
 # cache races under mixed traffic, chaos delays on the transport.
 "$BUILD_DIR/tests/test_serve" --gtest_filter='Server.*:ShardedLuCacheTest.*:ServeChaos.*'

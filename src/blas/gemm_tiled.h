@@ -123,7 +123,7 @@ struct GemmOptions {
   std::size_t chunk_k = 300;
   /// Row/column blocking of C (0 = unbounded, the PR 5 behavior). Rounded
   /// to tile multiples internally; blas/block_model.h supplies analytic
-  /// values, the TuningDB refined ones.
+  /// values, bench_tune's microkernel sweep measured ones.
   std::size_t mc = 0;
   std::size_t nc = 0;
   /// Registry shape id (mr*100 + nr; 0 = auto-dispatch). The

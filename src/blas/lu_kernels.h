@@ -413,9 +413,9 @@ bool getrf_unblocked(util::MatrixView<T> a, std::span<std::size_t> ipiv,
   return true;
 }
 
-/// Tuning knobs of the recursive panel factorization. The two size knobs are
-/// registered in tune::spaces::panel(), so bench_tune and the TuningDB cover
-/// them; 0 keeps the built-in default.
+/// Tuning knobs of the recursive panel factorization. bench_tune sweeps the
+/// two size knobs offline (tune::spaces::panel()); 0 keeps the built-in
+/// default.
 struct PanelOptions {
   /// Column cutoff below which the recursion bottoms out in the unblocked
   /// scalar kernel.
@@ -424,7 +424,7 @@ struct PanelOptions {
   std::size_t laswp_col_chunk = 0;
   /// Micro-kernel registry shape id for the packed GEMM updates (mr*100+nr;
   /// 0 = auto-dispatch). Bitwise-neutral — every registered shape
-  /// accumulates identically — so a TuningDB entry can set it freely.
+  /// accumulates identically — so any caller can set it freely.
   int microkernel = 0;
   /// Worker pool for the iamax reduction, rank updates, fused swaps and the
   /// packed GEMM updates; null = serial (same results either way).

@@ -168,7 +168,7 @@ template <class T>
 Selection<T> select_kernel_impl(int id) {
   if (registry<T>().empty()) return {};
   // Env pin beats everything — that is what makes CI runs reproducible
-  // regardless of what a TuningDB entry asks for.
+  // regardless of what kernel id a caller asks for.
   const ParsedSpec& env = env_spec();
   if (env.ok) {
     if (auto s = resolve_spec<T>(env)) return *s;

@@ -5,8 +5,9 @@
 //
 //   1. An explicit spec always wins: either the XPHI_MICROKERNEL environment
 //      variable (reproducible CI: pin "3x8@generic" and every host computes
-//      with the same code) or a caller-supplied spec/knob id (the TuningDB's
-//      `microkernel` knob, mr*100 + nr).
+//      with the same code) or a caller-supplied spec/knob id (the
+//      `microkernel` knob of GemmOptions / PanelOptions / tune::Knobs,
+//      mr*100 + nr).
 //   2. Otherwise auto-dispatch: the widest ISA tier host_cpu_features()
 //      reports AND the build compiled, at that tier's preferred shape
 //      (generic->3x8, avx2->6x8, avx512->8x8).
@@ -41,7 +42,7 @@ struct Shape {
   std::size_t mr = 0;
   std::size_t nr = 0;
   std::size_t tile_rows = 0;
-  int id = 0;  // mr * 100 + nr — the TuningDB encoding
+  int id = 0;  // mr * 100 + nr — the `microkernel` knob encoding
   const char* name = "";
 };
 

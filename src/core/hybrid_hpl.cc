@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "tune/bucket.h"
-#include "tune/tuner.h"
 #include "util/flops.h"
 
 namespace xphi::core {
@@ -41,20 +39,6 @@ HybridHplResult simulate_hybrid_hpl(const HybridHplConfig& cfg,
 
   const std::size_t n = cfg.n;
   const std::size_t nb = cfg.nb;
-
-  // Tuned schedule knobs: a DB entry for this problem bucket picks the
-  // look-ahead scheme and subset count; the offload tile lookup below gets
-  // the same tuner.
-  Lookahead scheme = cfg.scheme;
-  int pipeline_subsets = cfg.pipeline_subsets;
-  if (cfg.tuner != nullptr) {
-    if (const auto tuned = cfg.tuner->best("hybrid_hpl", tune::bucket(n, n, nb))) {
-      if (tuned->lookahead >= 0 && tuned->lookahead <= 2)
-        scheme = static_cast<Lookahead>(tuned->lookahead);
-      if (tuned->pipeline_subsets > 0)
-        pipeline_subsets = tuned->pipeline_subsets;
-    }
-  }
 
   double total = 0;
   double exposed_total = 0;
@@ -98,7 +82,6 @@ HybridHplResult simulate_hybrid_hpl(const HybridHplConfig& cfg,
         od.cards = cfg.cards;
         od.host_steals = true;
         od.host_compute_cores = cfg.host_steal_cores;
-        od.tuner = cfg.tuner;
         t_update = simulate_offload_dgemm(od, knc, snb, link).seconds;
       } else {
         t_update = snb.dgemm_seconds(local_rows, local_cols, pw,
@@ -111,7 +94,7 @@ HybridHplResult simulate_hybrid_hpl(const HybridHplConfig& cfg,
     prof.width = width;
     prof.update_seconds = t_update;
     double t_iter = 0;
-    switch (scheme) {
+    switch (cfg.scheme) {
       case Lookahead::kNone: {
         t_iter = t_panel + t_swap + t_dtrsm + t_ubcast + t_update;
         prof.exposed_panel = t_panel;
@@ -141,7 +124,7 @@ HybridHplResult simulate_hybrid_hpl(const HybridHplConfig& cfg,
       case Lookahead::kPipelined: {
         const double overlap = cfg.cards > 1 ? 1.0 + 0.6 * (cfg.cards - 1) : 1.0;
         const double steps = (t_swap + t_dtrsm + t_ubcast) / overlap;
-        const int s = std::max(1, pipeline_subsets);
+        const int s = std::max(1, cfg.pipeline_subsets);
         // Only the first column subset is exposed before the card starts;
         // every subset adds a fixed software-pipelining overhead.
         const double pre = steps / s + s * cfg.pipeline_subset_overhead_seconds;

@@ -28,10 +28,6 @@
 #include "sim/gemm_model.h"
 #include "sim/lu_model.h"
 
-namespace xphi::tune {
-class Tuner;
-}
-
 namespace xphi::core {
 
 enum class Lookahead { kNone, kBasic, kPipelined };
@@ -48,11 +44,6 @@ struct HybridHplConfig {
   int host_panel_cores = 8;
   int host_steal_cores = 13;  // host cores computing stolen tiles
   bool capture_profile = false;
-  /// Optional tuning database (tune/tuner.h): a stored "hybrid_hpl" entry
-  /// for this problem's bucket overrides `scheme` / `pipeline_subsets`, and
-  /// the tuner is forwarded to the per-iteration offload DGEMM for its
-  /// (Mt, Nt) lookup. Null = the fields above as given.
-  const tune::Tuner* tuner = nullptr;
 };
 
 struct IterationProfile {

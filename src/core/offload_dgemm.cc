@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "core/tile_grid.h"
-#include "tune/bucket.h"
-#include "tune/tuner.h"
 #include "util/flops.h"
 
 namespace xphi::core {
@@ -123,16 +121,6 @@ OffloadDgemmResult simulate_offload_dgemm(const OffloadDgemmConfig& cfg,
   // when stealing, works backward from whichever range has most left.
   const std::size_t cols_per_card = cfg.n / cfg.cards;
   std::size_t mt = cfg.knobs.mt, nt = cfg.knobs.nt;
-  if ((mt == 0 || nt == 0) && cfg.tuner != nullptr) {
-    // Warm start: a persisted tuning entry for this shape bucket overrides
-    // the candidate table (tuning changes speed, never results — the tile
-    // split does not alter any per-element accumulation order).
-    if (const auto tuned = cfg.tuner->best(
-            "offload_dgemm", tune::bucket(cfg.m, cols_per_card, cfg.kt))) {
-      if (mt == 0) mt = tuned->mt;
-      if (nt == 0) nt = tuned->nt;
-    }
-  }
   if (mt == 0 || nt == 0) {
     std::tie(mt, nt) =
         tune_tile_size(cfg.m, cols_per_card, cfg.kt, knc, link,

@@ -22,10 +22,6 @@
 #include "sim/gemm_model.h"
 #include "tune/knobs.h"
 
-namespace xphi::tune {
-class Tuner;
-}
-
 namespace xphi::core {
 
 struct OffloadDgemmConfig {
@@ -33,12 +29,9 @@ struct OffloadDgemmConfig {
   std::size_t kt = 1200;  // offload panel depth
   int cards = 1;
   /// Shared knob record (tune/knobs.h): knobs.mt/.nt select the tile size,
-  /// 0 = runtime-adaptive selection (TuningDB entry if `tuner` is set, else
-  /// the model-evaluated candidate table).
+  /// 0 = runtime-adaptive selection from the model-evaluated candidate
+  /// table (tune_tile_size).
   tune::Knobs knobs;
-  /// Optional tuning database: consulted for (Mt, Nt) at this shape's
-  /// bucket before the built-in candidate table. Null = candidate table.
-  const tune::Tuner* tuner = nullptr;
   bool merge_partial_tiles = true;
   // Host participation: when true the host's compute cores steal tiles from
   // the opposite corner (used inside hybrid HPL); the pure offload-DGEMM

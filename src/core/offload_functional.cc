@@ -19,8 +19,6 @@
 #include "core/tile_grid.h"
 #include "fault/injector.h"
 #include "pci/queue.h"
-#include "tune/bucket.h"
-#include "tune/tuner.h"
 #include "util/thread_pool.h"
 
 namespace xphi::core {
@@ -123,24 +121,10 @@ struct TileTracker {
 using Stash = std::vector<std::unique_ptr<Product>>;
 constexpr std::size_t kMaxSpares = 4;
 
-/// The config's knobs with a tuned "offload_functional" entry for this
-/// shape bucket applied (tile size and cache capacity change throughput,
-/// never a bit of the result).
-tune::Knobs resolve_knobs(const FunctionalOffloadConfig& cfg, std::size_t m,
-                          std::size_t n, std::size_t k) {
+/// The config's knobs with an unset tile extent at its 64 default (tile
+/// size and cache capacity change throughput, never a bit of the result).
+tune::Knobs resolve_knobs(const FunctionalOffloadConfig& cfg) {
   tune::Knobs knobs = cfg.knobs;
-  if (cfg.tuner != nullptr) {
-    if (const auto tuned =
-            cfg.tuner->best("offload_functional", tune::bucket(m, n, k))) {
-      if (tuned->mt != 0) knobs.mt = tuned->mt;
-      if (tuned->nt != 0) knobs.nt = tuned->nt;
-      if (tuned->pack_cache_entries != 0)
-        knobs.pack_cache_entries = tuned->pack_cache_entries;
-      if (tuned->microkernel != 0) knobs.microkernel = tuned->microkernel;
-      if (tuned->gemm_mc != 0) knobs.gemm_mc = tuned->gemm_mc;
-      if (tuned->gemm_nc != 0) knobs.gemm_nc = tuned->gemm_nc;
-    }
-  }
   if (knobs.mt == 0) knobs.mt = 64;
   if (knobs.nt == 0) knobs.nt = 64;
   return knobs;
@@ -561,8 +545,7 @@ FunctionalOffloadStats OffloadEngine::gemm(double alpha,
                                            MatrixView<const double> a,
                                            MatrixView<const double> b,
                                            MatrixView<double> c) {
-  Call call(alpha, a, b, c, config_,
-            resolve_knobs(config_, c.rows(), c.cols(), a.cols()));
+  Call call(alpha, a, b, c, config_, resolve_knobs(config_));
   Resident& res = *resident_;
   const std::size_t workers = res.pool.size();
   res.pool.run_with_caller([&](std::size_t p) {
@@ -582,8 +565,7 @@ FunctionalOffloadStats offload_gemm_functional(
   // one per tile, but at least one per card.
   std::size_t workers = 0;
   if (config.cards >= 1) {
-    const tune::Knobs knobs =
-        resolve_knobs(config, c.rows(), c.cols(), a.cols());
+    const tune::Knobs knobs = resolve_knobs(config);
     const std::size_t tiles = ((c.rows() + knobs.mt - 1) / knobs.mt) *
                               ((c.cols() + knobs.nt - 1) / knobs.nt);
     workers = std::min(resident_workers(config.cards),

@@ -42,22 +42,16 @@ namespace xphi::fault {
 class Injector;
 }
 
-namespace xphi::tune {
-class Tuner;
-}
-
 namespace xphi::core {
 
 struct FunctionalOffloadConfig {
   /// Shared knob record (tune/knobs.h) — the same struct the simulated
   /// offload DGEMM uses, so the tile fields exist exactly once:
-  /// knobs.mt/.nt size the tile grid and knobs.pack_cache_entries caps the
-  /// operand PackCache (0 = derived from the grid).
+  /// knobs.mt/.nt size the tile grid, knobs.pack_cache_entries caps the
+  /// operand PackCache (0 = derived from the grid), and knobs.microkernel /
+  /// .gemm_mc / .gemm_nc pick the tile kernel and its cache blocking (0 =
+  /// auto-dispatch / unbounded).
   tune::Knobs knobs{.mt = 64, .nt = 64};
-  /// Optional tuning database: a stored "offload_functional" entry for this
-  /// shape bucket overrides the knobs above (tile size and cache capacity
-  /// change throughput, never a bit of the result).
-  const tune::Tuner* tuner = nullptr;
   int cards = 1;
   bool host_steals = true;
   bool merge_partial_tiles = true;

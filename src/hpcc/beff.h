@@ -14,14 +14,13 @@
 //
 // On top of the point-to-point sweep sits the *collective probe*: for each
 // ladder size, the same broadcast is timed through the binomial tree and
-// through the segmented ring at every candidate segment. That table is the
-// measurement ROADMAP item 1 promised item 3: the net_crossover_doubles /
-// net_ring_segment knobs of World::bcast_auto were introduced by PR 8 but
-// tuned blind — seed_net_knobs() turns the probe table into their analytic
-// seed (a la spaces::microkernel_seed): the crossover is the smallest
-// ladder size where the best ring beats the tree, the segment is the
-// winner at the largest probed size. bench_tune snaps the seed onto
-// spaces::net() and asserts seeded >= default.
+// through the segmented ring at every candidate segment. seed_net_knobs()
+// turns that table into an analytic seed for World::bcast_auto's crossover
+// and ring segment (a la spaces::microkernel_seed): the crossover is the
+// largest probed size where the tree still beats every ring, the segment
+// is the winner at the largest probed size. bench_tune's net_beff_seed row
+// snaps the seed onto spaces::net() and gates that the seeded search
+// matches the default configuration in fewer evaluations.
 #pragma once
 
 #include <cstddef>

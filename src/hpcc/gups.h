@@ -54,10 +54,10 @@ struct GupsOptions {
   /// Updates each rank originates (0 = the benchmark's 4x table coverage:
   /// 4 * table_size / ranks).
   std::size_t updates_per_rank = 0;
-  /// Updates coalesced per destination per round (tune knob "gups_batch").
+  /// Updates coalesced per destination per round.
   std::size_t batch = 1024;
   /// Rounds a rank may run ahead of its receive processing, and the local
-  /// update-queue depth in batches (tune knob "gups_lookahead", >= 1).
+  /// update-queue depth in batches (>= 1).
   std::size_t lookahead = 4;
 
   std::size_t net_crossover_doubles = 0;  // 0 = World default

@@ -46,14 +46,13 @@ class Injector;
 namespace xphi::hpcc {
 
 struct PtransOptions {
-  /// Block size of the block-cyclic layout (tune knob "ptrans_nb",
-  /// spaces::ptrans()). N need not divide it.
+  /// Block size of the block-cyclic layout. N need not divide it.
   std::size_t nb = 64;
   double alpha = 1.0;
   double beta = 1.0;
 
   /// Size-adaptive collective dispatch handed to net::World (0 = World
-  /// defaults; tune knobs "net_crossover_doubles" / "net_ring_segment").
+  /// defaults; the knobs bench_tune sweeps in tune::spaces::net()).
   std::size_t net_crossover_doubles = 0;
   std::size_t net_ring_segment = 0;
   /// Worker OS threads for the World scheduler (0 = automatic).

@@ -6,8 +6,8 @@
 // KNC card) that every offload/native cost projection leans on — but the
 // repo never *measured* the quantity it assumes. This runs the four STREAM
 // kernels over the ThreadPool's dynamically-scheduled parallel_for (the
-// same executor the functional GEMM uses), with the claiming grain as a
-// tune knob ("stream_chunk", spaces::stream()), and reports best-of-reps
+// same executor the functional GEMM uses), with the claiming grain as an
+// option (`chunk`), and reports best-of-reps
 // GB/s per kernel — per-thread variants come from running with pools of
 // different widths, per-card variants from the MachineSpec presets the
 // bench emits alongside (kind "modeled").
@@ -33,8 +33,8 @@ struct StreamOptions {
   /// Timed repetitions of the 4-kernel cycle; best time per kernel wins
   /// (the STREAM rule).
   int reps = 4;
-  /// parallel_for claiming grain in elements (tune knob "stream_chunk";
-  /// 0 = the pool's adaptive default).
+  /// parallel_for claiming grain in elements (0 = the pool's adaptive
+  /// default).
   std::size_t chunk = 0;
   /// Pool to run through (null = serial on the calling thread; a pool of
   /// width W-1 measures W participating threads).

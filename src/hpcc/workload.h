@@ -2,10 +2,10 @@
 //
 // The paper benchmarks exactly one workload — HPL — but the fabric grown
 // around it (net::World's cooperative rank scheduler, the pci queues, the
-// fault injector, the tuner) is far more general than LU. This subsystem
-// adds the classic HPC Challenge companions, each a functional workload on
-// the existing substrate with the full HPL treatment (verification gate,
-// tune space, fault-chaos coverage, BENCH emitter):
+// fault injector) is far more general than LU. This subsystem adds the
+// classic HPC Challenge companions, each a functional workload on the
+// existing substrate with the full HPL treatment (verification gate,
+// fault-chaos coverage, BENCH emitter):
 //
 //   ptrans.h  — distributed PTRANS (A = beta*A + alpha*B^T over the P x Q
 //               block-cyclic grid): the pairwise transpose exchange is an

@@ -7,7 +7,6 @@
 #include "blas/getrf.h"
 #include "blas/lu_kernels.h"
 #include "blas/residual.h"
-#include "lu/functional.h"
 #include "util/rng.h"
 
 namespace xphi::hpl {
@@ -63,11 +62,6 @@ bool factor_mixed(MatrixView<const double> a, MixedFactors& out,
   popt.nb_min = options.panel_nb_min;  // getrf_panel maps 0 to its default
   popt.laswp_col_chunk = options.laswp_col_chunk;
   popt.microkernel = options.microkernel;
-  if (options.factor_workers > 1)
-    return lu::dag_lu_factor_t<float>(out.lu.view(), out.ipiv, options.nb,
-                                      options.factor_workers,
-                                      /*pack_stats=*/nullptr, popt,
-                                      /*panel_seconds=*/nullptr);
   return blas::getrf_blocked<float>(out.lu.view(), out.ipiv, options.nb,
                                     options.pool, popt);
 }

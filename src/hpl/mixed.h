@@ -36,10 +36,7 @@ namespace xphi::hpl {
 
 struct MixedOptions {
   std::size_t nb = 64;
-  /// >1 runs the fp32 factorization through the DAG LU executor on this many
-  /// threads; 1 uses the sequential blocked driver (with `pool`, if any, for
-  /// its trailing GEMMs).
-  int factor_workers = 1;
+  /// Trailing-GEMM pool of the blocked fp32 factorization; null = serial.
   util::ThreadPool* pool = nullptr;
   /// Critical-path kernel knobs (blas::PanelOptions); 0 = kernel defaults.
   std::size_t panel_nb_min = 0;
@@ -77,8 +74,8 @@ struct MixedSolveResult {
   double refine_seconds = 0;
 };
 
-/// Demotes `a` to fp32 and factors it in place (blocked or DAG driver per
-/// `factor_workers`). Returns false on a zero pivot.
+/// Demotes `a` to fp32 and factors it in place with the blocked driver.
+/// Returns false on a zero pivot.
 bool factor_mixed(util::MatrixView<const double> a, MixedFactors& out,
                   const MixedOptions& options = {});
 

@@ -11,10 +11,6 @@
 #include "lu/functional.h"
 #include "lu/sim_scheduler.h"
 
-namespace xphi::tune {
-class Tuner;
-}
-
 namespace xphi::lu {
 
 enum class Scheduler { kDynamic, kStaticLookahead };
@@ -29,14 +25,8 @@ struct NativeLinpackOptions {
   // Projection:
   bool capture_timeline = false;
   /// Critical-path kernel knobs for the functional run (panel recursion
-  /// cutoff, fused-LASWP column chunk, micro-kernel; the pool is ignored). A
-  /// tuner with a stored "panel" entry overrides these.
+  /// cutoff, fused-LASWP column chunk, micro-kernel; the pool is ignored).
   blas::PanelOptions panel;
-  /// Optional tuning database (tune/tuner.h): a stored "native_lu" entry for
-  /// this projection's bucket supplies the super-stage plan's group-core cap
-  /// and regroup period (tune::Knobs::superstage_*); a stored "panel" entry
-  /// supplies the functional run's panel/LASWP knobs. Null = defaults.
-  const tune::Tuner* tuner = nullptr;
 };
 
 struct NativeLinpackReport {

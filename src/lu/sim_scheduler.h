@@ -56,8 +56,8 @@ NativeLuResult simulate_static_lookahead_lu(const NativeLuConfig& config,
 /// of total_cores / 2); `regroup_period` quantizes where a new super-stage
 /// may begin — growth requested mid-period is deferred to the next multiple
 /// of the period, trading regrouping barriers against panel exposure. Both
-/// are tuning knobs (tune::Knobs::superstage_*); the defaults reproduce the
-/// original plan exactly.
+/// are swept offline by bench_tune's native_lu op (tune::spaces::
+/// superstage); the defaults reproduce the original plan exactly.
 ThreadPlan model_tuned_plan(const sim::KncLuModel& model, std::size_t n,
                             std::size_t nb, int total_cores,
                             int max_group_cores = 0,

@@ -31,8 +31,8 @@
 //                     when the group is big enough to pipeline, everything
 //                     else through the tree. All ranks must pass the same
 //                     size hint (collective choices must agree group-wide
-//                     without extra wire traffic). The crossover and ring
-//                     segment are tune knobs (tune::spaces::net()).
+//                     without extra wire traffic). bench_tune sweeps the
+//                     crossover and ring segment (tune::spaces::net()).
 //   - reduce:         binomial-tree reduction to a root (O(log P) messages
 //                     — the small-message complement of the ring family).
 //   - allreduce /     ring reduce-scatter (+ ring allgather), element-wise
@@ -238,7 +238,7 @@ class World {
   /// bcast_auto crossover: size hints strictly greater than this (in
   /// doubles) dispatch to the segmented ring when the group can pipeline.
   /// Default 1024 doubles (8 KiB). SIZE_MAX = always tree, 0 = always ring
-  /// (for groups >= 3). Registered as tune knob "net_crossover_doubles".
+  /// (for groups >= 3). Swept as "net_crossover_doubles" by bench_tune.
   void set_collective_crossover_doubles(std::size_t doubles) {
     crossover_doubles_ = doubles;
   }
@@ -247,7 +247,7 @@ class World {
   }
 
   /// Segment (in doubles) bcast_auto hands to ring_bcast (default 1024).
-  /// Registered as tune knob "net_ring_segment".
+  /// Swept as "net_ring_segment" by bench_tune.
   void set_ring_segment_doubles(std::size_t doubles) {
     ring_segment_doubles_ = doubles;
   }

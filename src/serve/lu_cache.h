@@ -3,10 +3,10 @@
 // Repeat-RHS traffic re-solves the same matrix with fresh right-hand sides;
 // the dominant cost (the O(n^3) LU) is identical every time, so workers
 // share one process-level cache of finished factorizations. Entries are
-// keyed the way TuningDB keys tuned knobs — machine fingerprint, shape
-// bucket, plus a content hash of the actual matrix — so a key can never
-// alias across machines, across size bands, or across matrices that merely
-// share a seed convention. Mixed-precision entries carry an "|fp32" bucket
+// keyed by machine fingerprint (tune::default_fingerprint), shape bucket
+// (tune::bucket), plus a content hash of the actual matrix — so a key can
+// never alias across machines, across size bands, or across matrices that
+// merely share a seed convention. Mixed-precision entries carry an "|fp32" bucket
 // suffix, so fp32 and fp64 factors of the same matrix never alias either.
 //
 // Capacity is counted in COST UNITS, not entries: an fp64 factorization
@@ -40,8 +40,8 @@
 
 namespace xphi::serve {
 
-/// TuningDB-style cache key: (machine fingerprint, ShapeBucket::key(),
-/// content hash of the matrix bytes).
+/// Cache key: (machine fingerprint, ShapeBucket::key(), content hash of the
+/// matrix bytes).
 struct CacheKey {
   std::string machine;
   std::string bucket;

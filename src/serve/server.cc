@@ -17,24 +17,12 @@
 #include "blas/lu_kernels.h"
 #include "core/offload_functional.h"
 #include "hpl/mixed.h"
-#include "lu/functional.h"
 #include "serve/lu_cache.h"
-#include "tune/knobs.h"
+#include "tune/bucket.h"
 #include "tune/tuner.h"
 #include "util/rng.h"
 
 namespace xphi::serve {
-
-void ServeConfig::apply(const tune::Knobs& knobs) {
-  if (knobs.serve_batch_window_us != 0)
-    batch_window_us = static_cast<double>(knobs.serve_batch_window_us);
-  if (knobs.serve_cache_shards != 0) cache_shards = knobs.serve_cache_shards;
-  if (knobs.serve_cache_capacity != 0)
-    cache_capacity = knobs.serve_cache_capacity;
-  if (knobs.serve_lane_weight != 0) lane_weight = knobs.serve_lane_weight;
-  if (knobs.serve_admission_queue != 0)
-    admission_queue = knobs.serve_admission_queue;
-}
 
 double percentile(std::vector<double> values, double q) {
   if (values.empty()) return 0;
@@ -131,7 +119,6 @@ void worker_main(net::Comm& comm, const ServeConfig& cfg,
         fresh->precision = hpl::Precision::kMixed;
         hpl::MixedOptions mo;
         mo.nb = nb;
-        mo.factor_workers = cfg.factor_workers;
         ok = hpl::factor_mixed(a.view(), fresh->mixed, mo);
       } else {
         // Factor a copy; `a` stays pristine for the mixed/hash paths.
@@ -151,9 +138,6 @@ void worker_main(net::Comm& comm, const ServeConfig& cfg,
           core::OffloadEngine engine(oc);
           ok = blas::getrf_stages<double>(fresh->lu.view(), fresh->ipiv, nb,
                                           {}, core::OffloadUpdate{engine});
-        } else if (cfg.factor_workers > 1) {
-          ok = lu::dag_lu_factor(fresh->lu.view(), fresh->ipiv, nb,
-                                 cfg.factor_workers);
         } else {
           ok = blas::getrf_blocked<double>(fresh->lu.view(), fresh->ipiv, nb);
         }

@@ -15,8 +15,8 @@
 //     schedules (injected faults change wall time, never virtual time).
 //   - Responses are bitwise deterministic: workers regenerate A from
 //     (matrix_seed, n), factor with the deterministic kernels (optionally
-//     on the DAG runtime, or through the functional offload engine whose
-//     reliability protocol absorbs dead cards without changing a bit), and
+//     through the functional offload engine, whose reliability protocol
+//     absorbs dead cards without changing a bit), and
 //     a cache hit returns the exact bits the first factorization produced.
 //     Cache hit/miss *may* race under concurrency; that is why hit state
 //     feeds metrics only, never scheduling.
@@ -46,9 +46,6 @@
 namespace xphi::fault {
 class Injector;
 }
-namespace xphi::tune {
-struct Knobs;
-}
 
 namespace xphi::serve {
 
@@ -57,7 +54,7 @@ struct ServeConfig {
   /// Panel width of the worker-side factorizations.
   std::size_t nb = 32;
 
-  // --- Tunable knobs (spaces::serve(); apply() overlays a Knobs record) --
+  // --- Scheduling knobs ---------------------------------------------------
   /// Virtual age the batch-lane head must reach before a non-full batch
   /// dispatches (coalescing window; interactive jobs never wait).
   double batch_window_us = 200;
@@ -82,14 +79,11 @@ struct ServeConfig {
   std::size_t mailbox_soft_cap = 0;
 
   bool use_cache = true;
-  /// >1: worker factorizations run on the DAG runtime (lu::dag_lu_factor)
-  /// with this many threads; 1 = sequential blocked (bitwise identical).
-  int factor_workers = 1;
   /// >0: the factorization's trailing updates run through the functional
   /// offload engine with this many cards (chaos: dead cards are absorbed by
   /// the reliability protocol without changing a bit). 0 = plain kernels.
   /// Applies to fp64 batches; mixed-precision batches factor through
-  /// hpl::factor_mixed (blocked or DAG per factor_workers).
+  /// hpl::factor_mixed (the blocked driver).
   int factor_cards = 0;
 
   /// Fault injection: net faults (delay/slow/drop) on the World transport,
@@ -110,9 +104,6 @@ struct ServeConfig {
   /// not measurements.
   double mixed_factor_cost_mult = 0.5;
   double mixed_solve_cost_mult = 3.0;
-
-  /// Overlays tuned knobs (tune::Knobs serve_* fields; 0 = keep current).
-  void apply(const tune::Knobs& knobs);
 };
 
 /// One job's outcome. `x` is empty iff the job was rejected.

@@ -1,13 +1,10 @@
-// Shape bucketing for tuning-database keys.
+// Shape bucketing: a geometric key for problem shapes.
 //
-// Tuned knobs generalize across nearby problem shapes but not across orders
-// of magnitude, so the DB keys shapes by a geometric bucket rather than the
-// exact extents: each extent rounds up to the next power of two. Shapes
-// within the same 2x band share one entry — an 82000x82000 trailing update
-// warm-starts a 70000x70000 one — while a tiny ragged panel can never alias
-// a full-size update. The same helper keys both the TuningDB and the offload
-// engines' candidate lookups, so a knob tuned through one path is found by
-// the other.
+// Each extent rounds up to the next power of two, so shapes within the same
+// 2x band share one key while a tiny ragged panel can never alias a
+// full-size update. The solve server's LU-cache key carries it (with the
+// machine fingerprint and a content hash), and bench_tune labels each
+// BENCH_tune.json row with it.
 #pragma once
 
 #include <cstddef>

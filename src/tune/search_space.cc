@@ -1,7 +1,6 @@
 #include "tune/search_space.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "blas/block_model.h"
@@ -59,25 +58,7 @@ std::size_t SearchSpace::nearest_index(std::size_t d, long long value) const {
   return best;
 }
 
-std::size_t SearchSpace::points() const noexcept {
-  std::size_t total = 1;
-  for (const auto& d : dims_) {
-    if (total > std::numeric_limits<std::size_t>::max() / d.values.size())
-      return std::numeric_limits<std::size_t>::max();
-    total *= d.values.size();
-  }
-  return total;
-}
-
 namespace spaces {
-
-SearchSpace offload_tiles() {
-  SearchSpace s;
-  const std::vector<long long> tiles{1200, 2400, 3600, 4800, 7200, 9600};
-  s.add("mt", tiles, 4800);
-  s.add("nt", tiles, 4800);
-  return s;
-}
 
 SearchSpace functional_offload() {
   SearchSpace s;
@@ -85,12 +66,6 @@ SearchSpace functional_offload() {
   s.add("mt", tiles, 64);
   s.add("nt", tiles, 64);
   s.add("pack_cache_entries", {8, 16, 32, 64, 128}, 64);
-  return s;
-}
-
-SearchSpace gemm_chunk() {
-  SearchSpace s;
-  s.add("chunk_k", {120, 180, 240, 300, 340, 400, 480, 600}, 300);
   return s;
 }
 
@@ -102,13 +77,6 @@ SearchSpace superstage(int total_cores) {
   groups.push_back(cap);  // the paper's default cap: half the device
   s.add("superstage_max_group", groups, cap);
   s.add("superstage_period", {1, 2, 4, 8}, 1);
-  return s;
-}
-
-SearchSpace lookahead() {
-  SearchSpace s;
-  s.add("lookahead", {0, 1, 2}, 2);
-  s.add("pipeline_subsets", {2, 4, 8, 12, 16}, 8);
   return s;
 }
 
@@ -132,27 +100,6 @@ SearchSpace microkernel() {
   return s;
 }
 
-SearchSpace mixed() {
-  SearchSpace s;
-  // fp32 panel width: half-size elements mean twice the panel columns fit
-  // the same cache footprint, so the band extends past the fp64 sweet spot.
-  s.add("mixed_nb", {32, 48, 64, 96, 128}, 64);
-  // Same registry shape ids as microkernel(); the fp32 tables carry every
-  // shape, and 0 = auto-dispatch (widest supported).
-  s.add("microkernel", {0, 308, 408, 608, 806, 412, 808}, 0);
-  return s;
-}
-
-SearchSpace serve() {
-  SearchSpace s;
-  s.add("serve_batch_window", {50, 100, 200, 400, 800}, 200);
-  s.add("serve_cache_shards", {1, 2, 4, 8}, 4);
-  s.add("serve_cache_capacity", {8, 16, 32, 64, 128}, 32);
-  s.add("serve_lane_weight", {1, 2, 4, 8}, 4);
-  s.add("serve_admission_queue", {16, 32, 64, 128, 256}, 64);
-  return s;
-}
-
 SearchSpace net() {
   SearchSpace s;
   // Crossover in doubles: 8 KiB payloads (1024 doubles) is where a segmented
@@ -160,28 +107,6 @@ SearchSpace net() {
   // simulated fabric; the sweep brackets it by ~4x in both directions.
   s.add("net_crossover_doubles", {64, 256, 1024, 4096, 16384, 65536}, 1024);
   s.add("net_ring_segment", {128, 512, 1024, 4096}, 1024);
-  return s;
-}
-
-SearchSpace ptrans() {
-  SearchSpace s;
-  s.add("ptrans_nb", {16, 32, 64, 128, 256}, 64);
-  return s;
-}
-
-SearchSpace gups() {
-  SearchSpace s;
-  s.add("gups_batch", {64, 256, 1024, 4096, 16384}, 1024);
-  s.add("gups_lookahead", {1, 2, 4, 8, 16}, 4);
-  return s;
-}
-
-SearchSpace stream() {
-  SearchSpace s;
-  // Grain in elements; the low end exposes claiming overhead, the high end
-  // load imbalance. 0 (pool-adaptive) is deliberately absent: the adaptive
-  // default is the baseline the tuned value must beat.
-  s.add("stream_chunk", {4096, 16384, 65536, 262144, 1048576}, 65536);
   return s;
 }
 

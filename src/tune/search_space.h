@@ -1,4 +1,4 @@
-// Declarative search spaces for the repo's performance knobs.
+// Declarative search spaces for bench_tune's offline sweep.
 //
 // A SearchSpace is an ordered list of named dimensions, each with an ordered
 // candidate list and a default index. The search engine (tuner.h) works in
@@ -6,12 +6,9 @@
 // is finite, enumerable and cheap to hash; values_at() maps a point back to
 // the knob values an evaluation callback consumes.
 //
-// The canonical spaces below cover the knobs that were previously hard-coded
-// or ad hoc per call site: the offload (Mt, Nt) candidate table, the
-// functional engine's tile and PackCache capacity, gemm_tiled's k-chunk (the
-// Table II sweep), the super-stage regrouping policy, and the hybrid-HPL
-// look-ahead scheme. Registering a new knob = adding a dimension (or a new
-// space) here with the name knobs.h recognizes.
+// A space stays only while its BENCH_tune.json row shows what the sweep is
+// for (DESIGN.md §10): a tuned speedup of 1.01 or more over the default, or
+// a model seed that matches the default-seeded search in fewer evaluations.
 #pragma once
 
 #include <cstddef>
@@ -46,31 +43,21 @@ class SearchSpace {
   /// the smaller candidate) — how a model-computed seed snaps to the space.
   std::size_t nearest_index(std::size_t d, long long value) const;
 
-  /// Total number of points (product of dimension sizes, saturating).
-  std::size_t points() const noexcept;
-
  private:
   std::vector<KnobRange> dims_;
 };
 
-/// Canonical spaces for the existing knobs.
+/// The swept spaces, one per bench_tune op.
 namespace spaces {
 
-/// Offload DGEMM (Mt, Nt): the paper's candidate tile table.
-SearchSpace offload_tiles();
-
-/// Functional offload engine: host-scale tiles plus PackCache capacity.
+/// Functional offload engine: host-scale tiles plus PackCache capacity
+/// (core::FunctionalOffloadConfig::knobs).
 SearchSpace functional_offload();
 
-/// gemm_tiled / outer-product panel depth k (Table II's sweep values).
-SearchSpace gemm_chunk();
-
 /// Native LU super-stage regrouping: per-group core cap (powers of two up
-/// to total_cores / 2) and the stage quantum between regroupings.
+/// to total_cores / 2) and the stage quantum between regroupings
+/// (lu::model_tuned_plan).
 SearchSpace superstage(int total_cores);
-
-/// Hybrid HPL look-ahead scheme and pipelined column-subset count.
-SearchSpace lookahead();
 
 /// LU panel critical path: recursive-panel cutoff nb_min and the fused
 /// LASWP column chunk (blas::PanelOptions).
@@ -81,33 +68,11 @@ SearchSpace panel();
 /// (0 = unbounded for mc/nc).
 SearchSpace microkernel();
 
-/// Mixed-precision HPL: the fp32 factorization's panel width (mixed_nb —
-/// fp32 tiles are half the bytes, so the candidate band sits wider than the
-/// fp64 nb) plus the micro-kernel shape the fp32 GEMM dispatches
-/// (hpl::MixedOptions consumes the tuned record).
-SearchSpace mixed();
-
-/// Solve-server scheduling: batch coalescing window (us), LU-cache shard
-/// count and total capacity, interactive lane weight, per-lane admission
-/// bound (serve::ServeConfig::apply consumes the tuned record).
-SearchSpace serve();
-
 /// net::World collective dispatch: the tree/ring crossover (payloads above
 /// it, in doubles, broadcast over the segmented ring; at or below it, the
-/// binomial tree) and the ring's pipeline segment. Both land on the World
-/// via set_collective_crossover_doubles / set_ring_segment_doubles (the
-/// HPCC PTRANS and GUPS drivers forward them from their options).
+/// binomial tree) and the ring's pipeline segment
+/// (World::set_collective_crossover_doubles / set_ring_segment_doubles).
 SearchSpace net();
-
-/// HPCC PTRANS: the block-cyclic block size of the transpose exchange.
-SearchSpace ptrans();
-
-/// HPCC GUPS / RandomAccess: per-destination batch coalescing and the
-/// rounds-ahead look-ahead window (also the local update-queue depth).
-SearchSpace gups();
-
-/// HPCC STREAM: the ThreadPool parallel_for claiming grain in elements.
-SearchSpace stream();
 
 /// The analytic starting point for spaces::microkernel(): the dispatched
 /// kernel shape and blas/block_model.h's mc/kc/nc for the probed cache

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <optional>
 
 #include "sim/machine.h"
 #include "util/rng.h"
@@ -15,11 +16,11 @@ namespace {
 /// Search state shared by the descents: memoized evaluations, the budget,
 /// the global best, and the trace.
 struct SearchState {
-  SearchState(const SearchSpace& s, const Tuner::EvalFn& e, std::size_t b)
+  SearchState(const SearchSpace& s, const EvalFn& e, std::size_t b)
       : space(s), eval(e), budget(b) {}
 
   const SearchSpace& space;
-  const Tuner::EvalFn& eval;
+  const EvalFn& eval;
   const std::size_t budget;
   std::map<std::vector<std::size_t>, double> cache;
   std::size_t evaluations = 0;
@@ -85,10 +86,8 @@ struct SearchState {
 
 }  // namespace
 
-Tuner::Tuner(std::string machine) : machine_(std::move(machine)) {}
-
-SearchResult Tuner::search(const SearchSpace& space, const EvalFn& eval,
-                           const SearchOptions& options) const {
+SearchResult search(const SearchSpace& space, const EvalFn& eval,
+                    const SearchOptions& options) {
   SearchResult result;
   if (space.dims() == 0) return result;
   SearchState st(space, eval,
@@ -122,31 +121,10 @@ SearchResult Tuner::search(const SearchSpace& space, const EvalFn& eval,
   return result;
 }
 
-SearchResult Tuner::tune(const std::string& op, const ShapeBucket& shape,
-                         const SearchSpace& space, const EvalFn& eval,
-                         const SearchOptions& options) {
-  SearchResult result = search(space, eval, options);
-  if (result.best.size() != space.dims() || space.dims() == 0) return result;
-  TuningEntry entry;
-  entry.cost = result.best_cost;
-  entry.budget = options.budget;
-  for (std::size_t d = 0; d < space.dims(); ++d)
-    entry.knobs.emplace_back(space.dim(d).name, result.best[d]);
-  db_.put({machine_, op, shape.key()}, std::move(entry));
-  return result;
-}
-
-std::optional<Knobs> Tuner::best(const std::string& op,
-                                 const ShapeBucket& shape) const {
-  const TuningEntry* entry = db_.find({machine_, op, shape.key()});
-  if (entry == nullptr) return std::nullopt;
-  return knobs_from_values(entry->knobs);
-}
-
 std::string fingerprint(const sim::MachineSpec& host,
                         const sim::MachineSpec& card) {
   // Identity = core topology + clock, not the display name: two specs that
-  // model the same silicon tune identically.
+  // model the same silicon share keys.
   char buf[128];
   std::snprintf(buf, sizeof buf, "host%dx%dc%.2fGHz+card%dx%dc%.2fGHz",
                 host.sockets, host.cores_per_socket, host.freq_ghz,

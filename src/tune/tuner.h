@@ -1,5 +1,5 @@
-// The Tuner: model-seeded, budgeted, deterministic empirical search over a
-// SearchSpace, backed by a persistent TuningDB.
+// The offline tuner: model-seeded, budgeted, deterministic empirical search
+// over a SearchSpace.
 //
 // The search engine is a coordinate descent (exact line search per
 // dimension, sweeping until a full sweep stops improving) restarted from a
@@ -7,32 +7,23 @@
 // every decision depends only on (space, evaluation results, seed), so the
 // same inputs reproduce the same trace bit for bit — the property the
 // determinism tests pin. Cost is whatever the evaluation callback returns
-// (lower is better; the built-in consumers return modeled or measured
-// seconds). Evaluations are memoized, and only distinct points count
-// against the budget.
+// (lower is better). Evaluations are memoized, and only distinct points
+// count against the budget.
 //
-// The evaluation callback is the abstraction boundary: tests and the
-// default drivers evaluate through the src/sim cost models (deterministic),
-// while bench_tune's functional-engine op passes a wall-clock measurement
-// callback — same engine, different oracle.
-//
-// Tuner::tune() stores the winner in the DB under
-// (machine fingerprint, op, shape bucket); Tuner::best() is the consumer
-// side — offload_dgemm, the functional offload engine, hybrid HPL and
-// native Linpack consult it before falling back to their built-in defaults,
-// so a warm-started run reproduces the tuned choices without searching.
+// The evaluation callback is the abstraction boundary: tests and
+// bench_tune's native_lu op evaluate through the src/sim cost models
+// (deterministic), while its measured ops pass a wall-clock callback — same
+// engine, different oracle. bench_tune is the only caller: it reports
+// default vs tuned into BENCH_tune.json, and no engine looks a tuned value
+// up at run time.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "tune/bucket.h"
-#include "tune/knobs.h"
 #include "tune/search_space.h"
-#include "tune/tuning_db.h"
 
 namespace xphi::sim {
 struct MachineSpec;
@@ -40,7 +31,8 @@ struct MachineSpec;
 
 namespace xphi::tune {
 
-/// Deterministic hardware fingerprint of a (host, card) pair.
+/// Deterministic hardware fingerprint of a (host, card) pair; the machine
+/// part of the solve server's LU-cache key.
 std::string fingerprint(const sim::MachineSpec& host,
                         const sim::MachineSpec& card);
 /// Fingerprint of the default modeled pair (SNB EP host + KNC card).
@@ -73,41 +65,11 @@ struct SearchResult {
   std::vector<TraceEntry> trace;  // every evaluation, in order
 };
 
-class Tuner {
- public:
-  /// `machine` scopes every DB read/write; defaults to this build's modeled
-  /// host+card pair.
-  explicit Tuner(std::string machine = default_fingerprint());
+using EvalFn = std::function<double(const std::vector<long long>&)>;
 
-  const std::string& machine() const noexcept { return machine_; }
-  TuningDB& db() noexcept { return db_; }
-  const TuningDB& db() const noexcept { return db_; }
-
-  /// Merge a DB file from disk (see TuningDB::load). False = rejected file;
-  /// the tuner keeps working from defaults.
-  bool load(const std::string& path) { return db_.load(path); }
-  bool save(const std::string& path) const { return db_.save(path); }
-
-  using EvalFn = std::function<double(const std::vector<long long>&)>;
-
-  /// Pure search: no DB interaction.
-  SearchResult search(const SearchSpace& space, const EvalFn& eval,
-                      const SearchOptions& options = {}) const;
-
-  /// Search, then store the winner under (machine, op, bucket) — merged
-  /// against any existing entry (lower cost wins).
-  SearchResult tune(const std::string& op, const ShapeBucket& shape,
-                    const SearchSpace& space, const EvalFn& eval,
+/// Searches `space` from `options.start` (default: the space's defaults).
+/// The start point is evaluated first, so best_cost <= start_cost.
+SearchResult search(const SearchSpace& space, const EvalFn& eval,
                     const SearchOptions& options = {});
-
-  /// Decoded DB entry for (machine, op, bucket); nullopt when absent — the
-  /// consumer falls back to its defaults.
-  std::optional<Knobs> best(const std::string& op,
-                            const ShapeBucket& shape) const;
-
- private:
-  std::string machine_;
-  TuningDB db_;
-};
 
 }  // namespace xphi::tune

@@ -99,8 +99,8 @@ TEST(MicrokernelRegistry, RegistersEveryShape) {
 
 TEST(MicrokernelRegistry, ForcedDispatchEveryShape) {
   for (const auto& k : mk::registry<double>()) {
-    // Knob-id forcing (the TuningDB path). The env pin would win over the
-    // id by design, so only assert the id path with no pin active.
+    // Knob-id forcing (the `microkernel` knob path). The env pin would win
+    // over the id by design, so only assert the id path with no pin active.
     if (mk::env_override_spec().empty()) {
       const auto sel = mk::select_kernel<double>(k.shape.id);
       ASSERT_TRUE(static_cast<bool>(sel)) << k.shape.name;
@@ -120,7 +120,7 @@ TEST(MicrokernelRegistry, ForcedDispatchEveryShape) {
 
 TEST(MicrokernelRegistry, FloatForcedDispatchEveryShape) {
   // The fp32 table carries the same six shapes as fp64; every one must be
-  // reachable through both the TuningDB knob-id path and the env-free spec
+  // reachable through both the knob-id path and the env-free spec
   // path (the mixed solver forces kernels through exactly these).
   for (const auto& k : mk::registry<float>()) {
     if (mk::env_override_spec().empty()) {
@@ -176,7 +176,7 @@ TEST(MicrokernelRegistry, SelectForTileMatchesPackGeometry) {
 
 /// Run only when ctest launches this binary with XPHI_MICROKERNEL set (the
 /// microkernel_env_pin entry in tests/CMakeLists.txt): the env pin must
-/// beat the TuningDB knob id.
+/// beat the `microkernel` knob id.
 TEST(MicrokernelRegistry, EnvPinBeatsKnob) {
   if (mk::env_override_spec().empty())
     GTEST_SKIP() << "XPHI_MICROKERNEL not set for this run";

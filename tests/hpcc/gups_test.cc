@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "hpcc/gups.h"
-#include "tune/knobs.h"
-#include "tune/search_space.h"
 
 namespace xphi {
 namespace {
@@ -67,23 +65,6 @@ TEST(Gups, UpdateValuesArePureAndDistinctPerOrigin) {
   EXPECT_EQ(hpcc::gups_update_value(1, 0, 0), hpcc::gups_update_value(1, 0, 0));
   EXPECT_NE(hpcc::gups_update_value(1, 0, 0), hpcc::gups_update_value(1, 1, 0));
   EXPECT_NE(hpcc::gups_update_value(1, 0, 0), hpcc::gups_update_value(2, 0, 0));
-}
-
-TEST(Gups, KnobSpaceAndRoundTrip) {
-  const tune::SearchSpace s = tune::spaces::gups();
-  ASSERT_EQ(s.dims(), 2u);
-  EXPECT_EQ(s.dim(0).name, "gups_batch");
-  EXPECT_EQ(s.dim(1).name, "gups_lookahead");
-  const auto defaults = s.values_at(s.default_point());
-  EXPECT_EQ(defaults[0], 1024);
-  EXPECT_EQ(defaults[1], 4);
-
-  tune::Knobs k;
-  k.gups_batch = 256;
-  k.gups_lookahead = 8;
-  const auto decoded = tune::knobs_from_values(tune::values_from_knobs(k));
-  EXPECT_EQ(decoded.gups_batch, 256u);
-  EXPECT_EQ(decoded.gups_lookahead, 8u);
 }
 
 }  // namespace

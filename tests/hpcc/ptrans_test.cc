@@ -7,8 +7,6 @@
 #include <utility>
 
 #include "hpcc/ptrans.h"
-#include "tune/knobs.h"
-#include "tune/search_space.h"
 #include "util/matrix.h"
 
 namespace xphi {
@@ -121,18 +119,6 @@ TEST(Ptrans, TransposeBlockedRectangular) {
   for (std::size_t i = 0; i < src.rows(); ++i)
     for (std::size_t j = 0; j < src.cols(); ++j)
       ASSERT_EQ(dst(j, i), src(i, j));
-}
-
-TEST(Ptrans, KnobSpaceAndRoundTrip) {
-  const tune::SearchSpace s = tune::spaces::ptrans();
-  ASSERT_EQ(s.dims(), 1u);
-  EXPECT_EQ(s.dim(0).name, "ptrans_nb");
-  EXPECT_EQ(s.values_at(s.default_point())[0], 64);
-
-  tune::Knobs k;
-  k.ptrans_nb = 128;
-  const auto decoded = tune::knobs_from_values(tune::values_from_knobs(k));
-  EXPECT_EQ(decoded.ptrans_nb, 128u);
 }
 
 }  // namespace

@@ -5,8 +5,6 @@
 #include <cmath>
 
 #include "hpcc/stream.h"
-#include "tune/knobs.h"
-#include "tune/search_space.h"
 #include "util/thread_pool.h"
 
 namespace xphi {
@@ -65,18 +63,6 @@ TEST(Stream, TinyArrayStillFinite) {
   // than the timer tick.
   EXPECT_TRUE(std::isfinite(r.copy_gbs));
   EXPECT_TRUE(std::isfinite(r.triad_gbs));
-}
-
-TEST(Stream, KnobSpaceAndRoundTrip) {
-  const tune::SearchSpace s = tune::spaces::stream();
-  ASSERT_EQ(s.dims(), 1u);
-  EXPECT_EQ(s.dim(0).name, "stream_chunk");
-  EXPECT_EQ(s.values_at(s.default_point())[0], 65536);
-
-  tune::Knobs k;
-  k.stream_chunk = 4096;
-  const auto decoded = tune::knobs_from_values(tune::values_from_knobs(k));
-  EXPECT_EQ(decoded.stream_chunk, 4096u);
 }
 
 }  // namespace

@@ -79,24 +79,6 @@ TEST(Mixed, FactorMatchesSequentialFloatOracle) {
   EXPECT_TRUE(bitwise_equal_f(f.lu.view(), lu.view()));
 }
 
-TEST(Mixed, DagFactorBitwiseMatchesBlocked) {
-  // The DAG executor reorders task completion, never any element's k-chain:
-  // multi-worker fp32 factors must equal the sequential ones bit for bit.
-  const std::size_t n = 80, nb = 16;
-  const System sys = make_system(n, 7);
-  MixedOptions seq;
-  seq.nb = nb;
-  MixedFactors fs;
-  ASSERT_TRUE(factor_mixed(sys.a.view(), fs, seq));
-
-  MixedOptions dag = seq;
-  dag.factor_workers = 4;
-  MixedFactors fd;
-  ASSERT_TRUE(factor_mixed(sys.a.view(), fd, dag));
-  EXPECT_EQ(fd.ipiv, fs.ipiv);
-  EXPECT_TRUE(bitwise_equal_f(fd.lu.view(), fs.lu.view()));
-}
-
 TEST(Mixed, SolvePassesUnrelaxedResidualGate) {
   // The acceptance contract: the mixed solve is held to the SAME scaled
   // residual gate as fp64 HPL. The reported residual must be exactly the

@@ -14,9 +14,6 @@
 #include "hpl/mixed.h"
 #include "serve/job.h"
 #include "trace/timeline.h"
-#include "tune/knobs.h"
-#include "tune/search_space.h"
-#include "tune/tuner.h"
 #include "util/rng.h"
 
 namespace xphi::serve {
@@ -213,21 +210,6 @@ TEST(Server, StarvationProtectionPromotesAgedBatchWork) {
   EXPECT_LT(batch_at, last_interactive_at);
 }
 
-TEST(Server, DagRuntimeFactorizationIsBitwiseIdentical) {
-  const auto trace = generate_trace(small_traffic(Mix::kUniform, 16));
-  ServeConfig cfg;
-  cfg.workers = 1;
-  const ServeReport seq = run_server(trace, cfg);
-  cfg.factor_workers = 3;  // super-stages factor on the DAG runtime
-  const ServeReport dag = run_server(trace, cfg);
-  EXPECT_EQ(seq.decision_hash, dag.decision_hash);
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    ASSERT_EQ(seq.jobs[i].x.size(), dag.jobs[i].x.size());
-    for (std::size_t k = 0; k < seq.jobs[i].x.size(); ++k)
-      EXPECT_EQ(seq.jobs[i].x[k], dag.jobs[i].x[k]);
-  }
-}
-
 TEST(Server, MixedPrecisionJobsEndToEnd) {
   // Half the traffic requests mixed precision: mixed jobs must come back
   // bitwise-equal to the sequential factor_mixed + refine_mixed oracle,
@@ -374,64 +356,6 @@ TEST(Percentile, NearestRank) {
   EXPECT_EQ(percentile({3, 1, 2}, 0.5), 2);
   EXPECT_EQ(percentile({3, 1, 2}, 0.99), 3);
   EXPECT_EQ(percentile({5}, 0.01), 5);
-}
-
-TEST(ServeKnobs, SpaceNamesMatchKnobCodec) {
-  const tune::SearchSpace space = tune::spaces::serve();
-  ASSERT_EQ(space.dims(), 5u);
-  // Evaluate the space's default point through the knob codec and back.
-  std::vector<std::pair<std::string, long long>> values;
-  const auto point = space.default_point();
-  const auto vals = space.values_at(point);
-  for (std::size_t d = 0; d < space.dims(); ++d)
-    values.emplace_back(space.dim(d).name, vals[d]);
-  const tune::Knobs knobs = tune::knobs_from_values(values);
-  EXPECT_EQ(knobs.serve_batch_window_us, 200u);
-  EXPECT_EQ(knobs.serve_cache_shards, 4u);
-  EXPECT_EQ(knobs.serve_cache_capacity, 32u);
-  EXPECT_EQ(knobs.serve_lane_weight, 4);
-  EXPECT_EQ(knobs.serve_admission_queue, 64u);
-  // And the encoded form round-trips.
-  const auto encoded = tune::values_from_knobs(knobs);
-  const tune::Knobs back = tune::knobs_from_values(encoded);
-  EXPECT_EQ(back.serve_batch_window_us, knobs.serve_batch_window_us);
-  EXPECT_EQ(back.serve_admission_queue, knobs.serve_admission_queue);
-}
-
-TEST(ServeKnobs, ConfigApplyOverlaysOnlySetFields) {
-  ServeConfig cfg;
-  cfg.batch_window_us = 999;
-  tune::Knobs knobs;
-  knobs.serve_cache_shards = 8;
-  knobs.serve_lane_weight = 2;
-  cfg.apply(knobs);
-  EXPECT_EQ(cfg.batch_window_us, 999);  // not set: untouched
-  EXPECT_EQ(cfg.cache_shards, 8u);
-  EXPECT_EQ(cfg.lane_weight, 2);
-  EXPECT_EQ(cfg.admission_queue, 64u);
-}
-
-TEST(ServeKnobs, TunerStoresAndRecallsServeEntry) {
-  tune::Tuner tuner;
-  const tune::SearchSpace space = tune::spaces::serve();
-  // Deterministic toy objective: prefer large windows and wide queues.
-  const auto eval = [&space](const std::vector<long long>& v) {
-    double cost = 0;
-    for (std::size_t d = 0; d < space.dims(); ++d)
-      cost += 1.0 / static_cast<double>(v[d]);
-    return cost;
-  };
-  tune::SearchOptions opt;
-  opt.budget = 32;
-  const auto result =
-      tuner.tune("serve", tune::bucket(64, 64, 32), space, eval, opt);
-  EXPECT_GT(result.evaluations, 0u);
-  const auto best = tuner.best("serve", tune::bucket(60, 60, 30));  // same bucket band
-  ASSERT_TRUE(best.has_value());
-  ServeConfig cfg;
-  cfg.apply(*best);
-  EXPECT_EQ(cfg.batch_window_us, 800);  // largest candidate wins the toy cost
-  EXPECT_EQ(cfg.admission_queue, 256u);
 }
 
 }  // namespace

@@ -35,7 +35,7 @@ TEST(BucketExtent, SaturatesAtTopBitInsteadOfOverflowing) {
 }
 
 TEST(Bucket, ShapesWithinTwoXShareABucket) {
-  // An 82000^2 trailing update warm-starts a 70000^2 one (same 2x band) …
+  // An 82000^2 trailing update shares a 70000^2 one's key (same 2x band) …
   EXPECT_EQ(bucket(82000, 82000, 1200), bucket(70000, 70000, 1200));
   // … but a shape an order of magnitude smaller never aliases it.
   EXPECT_NE(bucket(82000, 82000, 1200), bucket(8000, 8000, 1200));

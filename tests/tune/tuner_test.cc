@@ -2,14 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <cstdlib>
+#include <cstring>
 
-#include "blas/gemm_ref.h"
 #include "blas/lu_kernels.h"
-#include "core/offload_dgemm.h"
 #include "core/offload_functional.h"
-#include "lu/native_linpack.h"
+#include "lu/sim_scheduler.h"
+#include "sim/lu_model.h"
 #include "sim/machine.h"
 #include "tune/search_space.h"
 #include "util/rng.h"
@@ -34,7 +32,6 @@ double quadratic_cost(const std::vector<long long>& v) {
 TEST(SearchSpace, DefaultsValuesAndNearest) {
   const SearchSpace s = quadratic_space();
   ASSERT_EQ(s.dims(), 2u);
-  EXPECT_EQ(s.points(), 40u);
   EXPECT_EQ(s.default_point(), (std::vector<std::size_t>{0, 0}));
   EXPECT_EQ(s.values_at({5, 2}), (std::vector<long long>{5, 30}));
   EXPECT_EQ(s.nearest_index(1, 34), 2u);  // 30 is closest
@@ -44,8 +41,7 @@ TEST(SearchSpace, DefaultsValuesAndNearest) {
 }
 
 TEST(Tuner, FindsTheSeparableMinimum) {
-  Tuner t;
-  const SearchResult r = t.search(quadratic_space(), quadratic_cost);
+  const SearchResult r = search(quadratic_space(), quadratic_cost);
   EXPECT_EQ(r.best, (std::vector<long long>{5, 30}));
   EXPECT_EQ(r.best_cost, 0.0);
   EXPECT_LE(r.best_cost, r.start_cost);
@@ -54,22 +50,20 @@ TEST(Tuner, FindsTheSeparableMinimum) {
 TEST(Tuner, BestNeverWorseThanTheStartPoint) {
   // The acceptance invariant behind "tuned >= default GF/s": the start point
   // is evaluated first, so the winner can only match or beat it.
-  Tuner t;
   SearchOptions opt;
   opt.start = {5, 2};  // start *at* the optimum
-  const SearchResult r = t.search(quadratic_space(), quadratic_cost, opt);
+  const SearchResult r = search(quadratic_space(), quadratic_cost, opt);
   EXPECT_EQ(r.start_cost, 0.0);
   EXPECT_LE(r.best_cost, r.start_cost);
   EXPECT_EQ(r.best, (std::vector<long long>{5, 30}));
 }
 
 TEST(Tuner, SameSeedSameSpaceIdenticalTrace) {
-  Tuner t;
   SearchOptions opt;
   opt.seed = 1234;
   opt.budget = 20;
-  const SearchResult a = t.search(quadratic_space(), quadratic_cost, opt);
-  const SearchResult b = t.search(quadratic_space(), quadratic_cost, opt);
+  const SearchResult a = search(quadratic_space(), quadratic_cost, opt);
+  const SearchResult b = search(quadratic_space(), quadratic_cost, opt);
   EXPECT_EQ(a.best, b.best);
   EXPECT_EQ(a.best_cost, b.best_cost);
   EXPECT_EQ(a.evaluations, b.evaluations);
@@ -82,12 +76,11 @@ TEST(Tuner, SameSeedSameSpaceIdenticalTrace) {
 }
 
 TEST(Tuner, BudgetBoundsDistinctEvaluationsOnly) {
-  Tuner t;
   SearchOptions opt;
   opt.budget = 7;
   opt.restarts = 5;  // plenty of revisits
   std::size_t calls = 0;
-  const SearchResult r = t.search(
+  const SearchResult r = search(
       quadratic_space(),
       [&](const std::vector<long long>& v) {
         ++calls;
@@ -100,94 +93,9 @@ TEST(Tuner, BudgetBoundsDistinctEvaluationsOnly) {
   EXPECT_EQ(r.trace.size(), r.evaluations);
 }
 
-TEST(Tuner, TuneStoresAndBestDecodes) {
-  Tuner t;
-  const ShapeBucket shape = bucket(20000, 20000, 1200);
-  SearchSpace s = SearchSpace{}
-                      .add("mt", {2400, 4800, 7200}, 4800)
-                      .add("nt", {2400, 4800, 7200}, 4800);
-  const SearchResult r = t.tune("offload_dgemm", shape, s,
-                                [](const std::vector<long long>& v) {
-                                  // Cheapest at (2400, 7200).
-                                  return std::abs(v[0] - 2400.0) +
-                                         std::abs(v[1] - 7200.0);
-                                });
-  EXPECT_EQ(r.best, (std::vector<long long>{2400, 7200}));
-  const auto k = t.best("offload_dgemm", shape);
-  ASSERT_TRUE(k.has_value());
-  EXPECT_EQ(k->mt, 2400u);
-  EXPECT_EQ(k->nt, 7200u);
-  EXPECT_EQ(k->pack_cache_entries, 0u);  // untouched knob stays "not set"
-  EXPECT_FALSE(t.best("offload_dgemm", bucket(100, 100, 10)).has_value());
-  EXPECT_FALSE(t.best("other_op", shape).has_value());
-}
-
-TEST(Tuner, WarmStartRoundTripsThroughDisk) {
-  const std::string path = ::testing::TempDir() + "/tuner_warmstart.json";
-  const ShapeBucket shape = bucket(20000, 20000, 1200);
-  {
-    Tuner t;
-    SearchSpace s = SearchSpace{}.add("mt", {100, 200}, 100).add(
-        "nt", {100, 200}, 100);
-    t.tune("offload_dgemm", shape, s, [](const std::vector<long long>& v) {
-      return static_cast<double>(v[0] + v[1]);
-    });
-    ASSERT_TRUE(t.save(path));
-  }
-  Tuner cold;  // same default machine fingerprint
-  ASSERT_TRUE(cold.load(path));
-  const auto k = cold.best("offload_dgemm", shape);
-  ASSERT_TRUE(k.has_value());
-  EXPECT_EQ(k->mt, 100u);
-  EXPECT_EQ(k->nt, 100u);
-  std::remove(path.c_str());
-}
-
-TEST(Knobs, EncodeDecodeRoundTrip) {
-  Knobs k;
-  k.mt = 4800;
-  k.nt = 2400;
-  k.pack_cache_entries = 64;
-  k.chunk_k = 300;
-  k.superstage_max_group = 16;
-  k.superstage_period = 4;
-  k.lookahead = 2;
-  k.pipeline_subsets = 8;
-  k.panel_nb_min = 16;
-  k.laswp_col_chunk = 512;
-  k.net_crossover_doubles = 4096;
-  k.net_ring_segment = 512;
-  k.mixed_nb = 96;
-  const Knobs back = knobs_from_values(values_from_knobs(k));
-  EXPECT_EQ(back.mt, k.mt);
-  EXPECT_EQ(back.nt, k.nt);
-  EXPECT_EQ(back.pack_cache_entries, k.pack_cache_entries);
-  EXPECT_EQ(back.chunk_k, k.chunk_k);
-  EXPECT_EQ(back.superstage_max_group, k.superstage_max_group);
-  EXPECT_EQ(back.superstage_period, k.superstage_period);
-  EXPECT_EQ(back.lookahead, k.lookahead);
-  EXPECT_EQ(back.pipeline_subsets, k.pipeline_subsets);
-  EXPECT_EQ(back.panel_nb_min, k.panel_nb_min);
-  EXPECT_EQ(back.laswp_col_chunk, k.laswp_col_chunk);
-  EXPECT_EQ(back.net_crossover_doubles, k.net_crossover_doubles);
-  EXPECT_EQ(back.net_ring_segment, k.net_ring_segment);
-  EXPECT_EQ(back.mixed_nb, k.mixed_nb);
-  // lookahead 0 (kNone) is a *set* value, distinct from the -1 default.
-  Knobs none;
-  none.lookahead = 0;
-  EXPECT_EQ(knobs_from_values(values_from_knobs(none)).lookahead, 0);
-  // Unknown and out-of-range inputs are skipped, not wrapped.
-  const Knobs odd = knobs_from_values({{"mt", -5}, {"lookahead", 9},
-                                       {"warp_width", 32}});
-  EXPECT_EQ(odd.mt, 0u);
-  EXPECT_EQ(odd.lookahead, -1);
-}
-
 TEST(CanonicalSpaces, CoverTheDocumentedKnobs) {
-  EXPECT_EQ(spaces::offload_tiles().dims(), 2u);
   EXPECT_EQ(spaces::functional_offload().dims(), 3u);
-  EXPECT_EQ(spaces::gemm_chunk().dims(), 1u);
-  EXPECT_EQ(spaces::lookahead().dims(), 2u);
+  EXPECT_EQ(spaces::microkernel().dims(), 4u);
   // Collective dispatch: crossover + ring segment, defaulted at the World's
   // built-in constants so an unsearched space reproduces stock dispatch.
   const SearchSpace ns = spaces::net();
@@ -197,15 +105,6 @@ TEST(CanonicalSpaces, CoverTheDocumentedKnobs) {
   const auto net_defaults = ns.values_at(ns.default_point());
   EXPECT_EQ(net_defaults[0], 1024);
   EXPECT_EQ(net_defaults[1], 1024);
-  // Mixed-precision HPL: fp32 panel width + micro-kernel shape, defaulted
-  // at the solver's built-ins (nb=64, auto-dispatch).
-  const SearchSpace ms = spaces::mixed();
-  ASSERT_EQ(ms.dims(), 2u);
-  EXPECT_EQ(ms.dim(0).name, "mixed_nb");
-  EXPECT_EQ(ms.dim(1).name, "microkernel");
-  const auto mixed_defaults = ms.values_at(ms.default_point());
-  EXPECT_EQ(mixed_defaults[0], 64);
-  EXPECT_EQ(mixed_defaults[1], 0);
   // Panel critical path: cutoff + LASWP chunk, defaulted at the kernel's
   // built-in constants so an unsearched space reproduces the stock kernels.
   const SearchSpace ps = spaces::panel();
@@ -231,7 +130,6 @@ TEST(CanonicalSpaces, CoverTheDocumentedKnobs) {
 }
 
 TEST(Tuner, FingerprintIsTopologyNotNames) {
-  EXPECT_EQ(Tuner{}.machine(), default_fingerprint());
   EXPECT_EQ(default_fingerprint(),
             fingerprint(sim::MachineSpec::sandy_bridge_ep(),
                         sim::MachineSpec::knights_corner()));
@@ -240,53 +138,15 @@ TEST(Tuner, FingerprintIsTopologyNotNames) {
 
 // --- Consumer integration -------------------------------------------------
 
-TEST(Consumers, OffloadDgemmWarmStartsFromTheDB) {
-  const sim::KncGemmModel knc;
-  const sim::SnbModel snb;
-  const pci::PcieLink link;
-
-  core::OffloadDgemmConfig cfg;
-  cfg.m = cfg.n = 20000;
-  const std::size_t cols = cfg.n / cfg.cards;
-
-  Tuner t;
-  TuningEntry e;
-  e.knobs = {{"mt", 2400}, {"nt", 3600}};
-  e.cost = 1.0;
-  t.db().put({t.machine(), "offload_dgemm",
-              bucket(cfg.m, cols, cfg.kt).key()},
-             e);
-
-  cfg.tuner = &t;
-  const auto r = core::simulate_offload_dgemm(cfg, knc, snb, link);
-  EXPECT_EQ(r.mt, 2400u);
-  EXPECT_EQ(r.nt, 3600u);
-
-  // Explicit knobs beat the DB, and a cold DB falls back to the candidate
-  // table (same pick as no tuner at all).
-  cfg.knobs.mt = cfg.knobs.nt = 4800;
-  const auto explicit_r = core::simulate_offload_dgemm(cfg, knc, snb, link);
-  EXPECT_EQ(explicit_r.mt, 4800u);
-  cfg.knobs = {};
-  Tuner cold;
-  cfg.tuner = &cold;
-  const auto from_table = core::simulate_offload_dgemm(cfg, knc, snb, link);
-  cfg.tuner = nullptr;
-  const auto no_tuner = core::simulate_offload_dgemm(cfg, knc, snb, link);
-  EXPECT_EQ(from_table.mt, no_tuner.mt);
-  EXPECT_EQ(from_table.nt, no_tuner.nt);
-}
-
 TEST(Consumers, TuningChangesSpeedNeverResults) {
-  // The bitwise-determinism acceptance gate: the functional offload engine
-  // must produce the identical C whether knobs come from defaults or a DB.
+  // The bitwise-determinism acceptance gate: every knob point of the
+  // functional offload engine produces C memcmp-equal to the defaults.
   using util::Matrix;
   constexpr std::size_t m = 96, n = 96, k = 24;
-  Matrix<double> a(m, k), b(k, n), c_default(m, n), c_tuned(m, n);
+  Matrix<double> a(m, k), b(k, n), c_default(m, n);
   util::fill_hpl_matrix(a.view(), 1);
   util::fill_hpl_matrix(b.view(), 2);
   util::fill_hpl_matrix(c_default.view(), 3);
-  util::fill_hpl_matrix(c_tuned.view(), 3);
 
   core::FunctionalOffloadConfig cfg;
   cfg.cards = 2;
@@ -294,39 +154,58 @@ TEST(Consumers, TuningChangesSpeedNeverResults) {
   core::offload_gemm_functional(-1.0, a.view(), b.view(), c_default.view(),
                                 cfg);
 
-  Tuner t;
-  TuningEntry e;
-  e.knobs = {{"mt", 24}, {"nt", 40}, {"pack_cache_entries", 4}};
-  e.cost = 1.0;
-  t.db().put({t.machine(), "offload_functional", bucket(m, n, k).key()}, e);
-  cfg.tuner = &t;
-  core::offload_gemm_functional(-1.0, a.view(), b.view(), c_tuned.view(),
-                                cfg);
-
-  EXPECT_EQ(util::max_abs_diff<double>(c_tuned.view(), c_default.view()), 0.0);
+  const std::vector<Knobs> points = {
+      Knobs{},  // unset tile extents resolve to the 64x64 default
+      // Two BENCH_tune.json offload_functional winners (the sweep is
+      // wall-clock, so each regeneration may pick another point).
+      Knobs{.mt = 32, .nt = 128, .pack_cache_entries = 64},
+      Knobs{.mt = 96, .nt = 96, .pack_cache_entries = 32},
+      // Ragged tiles, a cache smaller than the grid, and mc/nc blocking
+      // inside each tile product.
+      Knobs{.mt = 24, .nt = 40, .pack_cache_entries = 4, .gemm_mc = 16,
+            .gemm_nc = 24},
+  };
+  for (const Knobs& knobs : points) {
+    Matrix<double> c(m, n);
+    util::fill_hpl_matrix(c.view(), 3);
+    cfg.knobs = knobs;
+    core::offload_gemm_functional(-1.0, a.view(), b.view(), c.view(), cfg);
+    EXPECT_EQ(std::memcmp(c.data(), c_default.data(),
+                          m * c.ld() * sizeof(double)),
+              0)
+        << "mt=" << knobs.mt << " nt=" << knobs.nt
+        << " gemm_mc=" << knobs.gemm_mc;
+  }
 }
 
-TEST(Consumers, NativeLinpackReadsSuperstageKnobs) {
-  lu::NativeLinpackOptions opt;
-  opt.workers = 2;
-  const auto base = lu::run_native_linpack(64, 8000, opt);
-  ASSERT_TRUE(base.functional.ok);
-
-  Tuner t;
-  TuningEntry e;
-  e.knobs = {{"superstage_max_group", 2}, {"superstage_period", 8}};
-  e.cost = 1.0;
-  t.db().put({t.machine(), "native_lu", bucket(8000, 8000, opt.nb).key()}, e);
-  opt.tuner = &t;
-  const auto tuned = lu::run_native_linpack(64, 8000, opt);
-
-  // The functional (numerical) run is identical — only the projection's
-  // schedule moved.
-  EXPECT_EQ(tuned.functional.residual, base.functional.residual);
-  EXPECT_GT(tuned.projected.gflops, 0.0);
-  // Capping groups at 2 cores with sparse regrouping slows the projection:
-  // the knob demonstrably reached the scheduler.
-  EXPECT_NE(tuned.projected.seconds, base.projected.seconds);
+TEST(Consumers, SuperstageKnobsReachTheScheduler) {
+  // The native_lu op sweeps model_tuned_plan's group cap and regroup
+  // period: the defaults reproduce the stock plan, and a non-default point
+  // moves the projection.
+  const sim::KncLuModel model;
+  const int cores = model.spec().compute_cores();
+  lu::NativeLuConfig cfg;
+  cfg.n = 8000;
+  cfg.nb = 240;
+  const double stock =
+      lu::simulate_dynamic_lu(
+          cfg, model, lu::model_tuned_plan(model, cfg.n, cfg.nb, cores))
+          .seconds;
+  const auto space = spaces::superstage(cores);
+  const auto defaults = space.values_at(space.default_point());
+  const double at_defaults =
+      lu::simulate_dynamic_lu(
+          cfg, model,
+          lu::model_tuned_plan(model, cfg.n, cfg.nb, cores,
+                               static_cast<int>(defaults[0]),
+                               static_cast<std::size_t>(defaults[1])))
+          .seconds;
+  EXPECT_EQ(at_defaults, stock);
+  const double capped =
+      lu::simulate_dynamic_lu(
+          cfg, model, lu::model_tuned_plan(model, cfg.n, cfg.nb, cores, 2, 8))
+          .seconds;
+  EXPECT_NE(capped, stock);
 }
 
 }  // namespace
