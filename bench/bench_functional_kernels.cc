@@ -67,7 +67,8 @@ void BM_GemmRefBaseline(benchmark::State& state) {
   util::fill_hpl_matrix(b.view(), 2);
   c.fill(0);
   for (auto _ : state) {
-    blas::gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c.view());
+    blas::gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c.view(),
+                           blas::mk::Accumulate::kUnfused);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["flops/s"] = benchmark::Counter(

@@ -67,9 +67,10 @@ void laswp(MatrixView<T> a, std::span<const std::size_t> ipiv, std::size_t k0,
 // Seed GEMM: the live packed rank-k pipeline pinned to the registry's
 // frozen "3x8@generic" baseline and kept serial — the seed panel recursion
 // never handed its trailing updates a pool. (The old frozen copy of the
-// seed's 5x8 sub-block kernel is gone: every registered shape is
-// bitwise-identical by the kernels_inl.h contract, so the pinned baseline
-// measures the same numerics without duplicating the kernel here.)
+// seed's 5x8 sub-block kernel is gone: every registered generic shape is
+// bitwise-identical to it by the kernels_inl.h contract, so the pinned
+// baseline measures the seed's numerics without duplicating the kernel
+// here. The live path on an FMA tier runs the fused fp64 contract.)
 template <class T>
 void gemm_tiled(T alpha, MatrixView<const T> a, MatrixView<const T> b, T beta,
                 MatrixView<T> c, std::size_t chunk_k) {
@@ -192,7 +193,7 @@ struct Row {
   std::string shape;
   double work = 0;        // flops (panel/trsm) or bytes touched (laswp)
   const char* unit = "";  // GF/s or GB/s
-  Timing t;
+  Timing t{};
 };
 
 }  // namespace

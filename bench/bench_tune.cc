@@ -2,11 +2,17 @@
 // paper shapes and reports default vs tuned GF/s (the payoff artifact of
 // the src/tune subsystem, BENCH_tune.json).
 //
-// Each op's search is seeded at the engine's built-in default choice, so
-// "tuned" can only match or beat "default" — both numbers come from the
-// same cost oracle (the src/sim model for native_lu, wall-clock for the
-// measured ops). Nothing is persisted: the engines keep their built-in
-// defaults, and a knob only changes when a row here justifies editing one.
+// Each op's search starts at the engine's built-in default choice (the
+// seeded rows at their seed), so "tuned" never loses to its own start
+// point; default and tuned come from the same cost oracle (the src/sim
+// model for native_lu, wall-clock for the measured ops). For the measured
+// ops "default" is the engine default timed once more after the op's
+// searches, warm, and shared by all of the op's rows: the search's own
+// start evaluation is its coldest run, and the seeded rows
+// (microkernel_model_seed, net_beff_seed) start at the seed, not at the
+// default, so neither is the default's cost. Nothing is persisted: the
+// engines keep their built-in defaults, and a knob only changes when a row
+// here justifies editing one.
 //
 // Flags:
 //   --budget N   max distinct evaluations per (op, shape)   [default 48]
@@ -124,8 +130,13 @@ struct OpRow {
   std::size_t shape_n = 0;
   std::string bucket;
   double flops = 0;
-  tune::SearchResult result;
-  std::string knobs;
+  tune::SearchResult result{};
+  std::string knobs{};
+  /// Cost of the engine's default configuration at this shape. Measured ops
+  /// re-time it once after their searches, warm, and every row of the op
+  /// reports that one value; 0 (the model-costed native_lu) means the
+  /// search's deterministic start cost.
+  double default_cost = 0;
 };
 
 void report(const std::vector<OpRow>& rows, const Options& opt) {
@@ -133,7 +144,9 @@ void report(const std::vector<OpRow>& rows, const Options& opt) {
       {"op", "N", "default GF/s", "tuned GF/s", "speedup", "evals", "knobs"});
   std::vector<bench::JsonRecord> records;
   for (const OpRow& r : rows) {
-    const double def = r.flops / r.result.start_cost / 1e9;
+    const double def =
+        r.flops /
+        (r.default_cost > 0 ? r.default_cost : r.result.start_cost) / 1e9;
     const double tuned = r.flops / r.result.best_cost / 1e9;
     table.add_row({r.op, util::Table::fmt(r.shape_n), util::Table::fmt(def, 1),
                    util::Table::fmt(tuned, 1),
@@ -218,27 +231,26 @@ int main(int argc, char** argv) {
               .flops = 2.0 * m * n * k};
     tune::SearchOptions so = base;
     if (opt.smoke && so.budget > 3) so.budget = 3;
-    row.result = tune::search(
-        space,
-        [&](const std::vector<long long>& v) {
-          core::FunctionalOffloadConfig cfg;
-          cfg.knobs.mt = static_cast<std::size_t>(v[0]);
-          cfg.knobs.nt = static_cast<std::size_t>(v[1]);
-          cfg.knobs.pack_cache_entries = static_cast<std::size_t>(v[2]);
-          cfg.cards = 2;
-          cfg.host_steals = true;
-          util::Matrix<double> c(m, n);
-          for (std::size_t r = 0; r < m; ++r)
-            for (std::size_t cc = 0; cc < n; ++cc) c(r, cc) = c0(r, cc);
-          const auto t0 = std::chrono::steady_clock::now();
-          core::offload_gemm_functional(-1.0, a.view(), b.view(), c.view(),
-                                        cfg);
-          const std::chrono::duration<double> dt =
-              std::chrono::steady_clock::now() - t0;
-          return dt.count() > 1e-9 ? dt.count() : 1e-9;
-        },
-        so);
+    auto eval = [&](const std::vector<long long>& v) {
+      core::FunctionalOffloadConfig cfg;
+      cfg.knobs.mt = static_cast<std::size_t>(v[0]);
+      cfg.knobs.nt = static_cast<std::size_t>(v[1]);
+      cfg.knobs.pack_cache_entries = static_cast<std::size_t>(v[2]);
+      cfg.cards = 2;
+      cfg.host_steals = true;
+      util::Matrix<double> c(m, n);
+      for (std::size_t r = 0; r < m; ++r)
+        for (std::size_t cc = 0; cc < n; ++cc) c(r, cc) = c0(r, cc);
+      const auto t0 = std::chrono::steady_clock::now();
+      core::offload_gemm_functional(-1.0, a.view(), b.view(), c.view(),
+                                    cfg);
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - t0;
+      return dt.count() > 1e-9 ? dt.count() : 1e-9;
+    };
+    row.result = tune::search(space, eval, so);
     row.knobs = knob_string(space, row.result.best);
+    row.default_cost = eval(space.values_at(space.default_point()));
     rows.push_back(std::move(row));
   }
 
@@ -261,25 +273,24 @@ int main(int argc, char** argv) {
     tune::SearchOptions so = base;
     so.start = {space.nearest_index(0, 8), space.nearest_index(1, 256)};
     if (opt.smoke && so.budget > 3) so.budget = 3;
-    row.result = tune::search(
-        space,
-        [&](const std::vector<long long>& v) {
-          blas::PanelOptions popt;
-          popt.nb_min = static_cast<std::size_t>(v[0]);
-          popt.laswp_col_chunk = static_cast<std::size_t>(v[1]);
-          popt.pool = &pool;
-          util::Matrix<double> a(m, jb);
-          for (std::size_t r = 0; r < m; ++r)
-            for (std::size_t c = 0; c < jb; ++c) a(r, c) = a0(r, c);
-          std::vector<std::size_t> piv(jb);
-          const auto t0 = std::chrono::steady_clock::now();
-          blas::getrf_panel<double>(a.view(), piv, popt);
-          const std::chrono::duration<double> dt =
-              std::chrono::steady_clock::now() - t0;
-          return dt.count() > 1e-9 ? dt.count() : 1e-9;
-        },
-        so);
+    auto eval = [&](const std::vector<long long>& v) {
+      blas::PanelOptions popt;
+      popt.nb_min = static_cast<std::size_t>(v[0]);
+      popt.laswp_col_chunk = static_cast<std::size_t>(v[1]);
+      popt.pool = &pool;
+      util::Matrix<double> a(m, jb);
+      for (std::size_t r = 0; r < m; ++r)
+        for (std::size_t c = 0; c < jb; ++c) a(r, c) = a0(r, c);
+      std::vector<std::size_t> piv(jb);
+      const auto t0 = std::chrono::steady_clock::now();
+      blas::getrf_panel<double>(a.view(), piv, popt);
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - t0;
+      return dt.count() > 1e-9 ? dt.count() : 1e-9;
+    };
+    row.result = tune::search(space, eval, so);
     row.knobs = knob_string(space, row.result.best);
+    row.default_cost = eval(space.values_at(space.default_point()));
     rows.push_back(std::move(row));
   }
 
@@ -327,7 +338,6 @@ int main(int argc, char** argv) {
     row.knobs = knob_string(space, row.result.best);
     microkernel_default_start = row.result.start_cost;
     microkernel_default_evals = row.result.evaluations;
-    rows.push_back(std::move(row));
 
     // Model-seeded, half budget (pure search: the comparison artifact).
     OpRow mrow{.op = "microkernel_model_seed", .shape_n = n,
@@ -338,6 +348,8 @@ int main(int argc, char** argv) {
     mso.start = tune::spaces::microkernel_seed(space);
     mrow.result = tune::search(space, eval, mso);
     mrow.knobs = knob_string(space, mrow.result.best);
+    row.default_cost = mrow.default_cost =
+        eval(space.values_at(space.default_point()));
     microkernel_model_best = mrow.result.best_cost;
     microkernel_model_evals = mrow.result.evaluations;
     std::printf(
@@ -345,6 +357,7 @@ int main(int argc, char** argv) {
         "model-seeded %zu evals (budget %d)\n",
         microkernel_default_evals, so.budget, microkernel_model_evals,
         mso.budget);
+    rows.push_back(std::move(row));
     rows.push_back(std::move(mrow));
   }
 
@@ -382,7 +395,6 @@ int main(int argc, char** argv) {
     row.knobs = knob_string(space, row.result.best);
     net_default_start = row.result.start_cost;
     net_default_evals = row.result.evaluations;
-    rows.push_back(std::move(row));
 
     // Measure the fabric with b_eff and seed the half-budget search at the
     // probe table's analytic answer.
@@ -408,6 +420,8 @@ int main(int argc, char** argv) {
     sso.start = hpcc::seed_net_point(beff.probes, space);
     srow.result = tune::search(space, eval, sso);
     srow.knobs = knob_string(space, srow.result.best);
+    row.default_cost = srow.default_cost =
+        eval(space.values_at(space.default_point()));
     net_seed_best = srow.result.best_cost;
     net_seed_evals = srow.result.evaluations;
     std::printf(
@@ -415,6 +429,7 @@ int main(int argc, char** argv) {
         "%zu evals (budget %d), beff ok=%d\n",
         net_default_evals, so.budget, net_seed_evals, sso.budget,
         beff.ok ? 1 : 0);
+    rows.push_back(std::move(row));
     rows.push_back(std::move(srow));
   }
 
@@ -423,10 +438,12 @@ int main(int argc, char** argv) {
               opt.smoke ? " (smoke)" : "");
   report(rows, opt);
 
-  // The structural guarantee the JSON asserts: tuned >= default everywhere.
+  // The structural guarantee of the search: tuned >= its start point
+  // everywhere (the default, or for the seeded rows the seed, which the
+  // co-design gate below holds against the default).
   for (const OpRow& r : rows) {
     if (r.result.best_cost > r.result.start_cost) {
-      std::fprintf(stderr, "BUG: %s N=%zu tuned worse than default\n",
+      std::fprintf(stderr, "BUG: %s N=%zu tuned worse than its start\n",
                    r.op.c_str(), r.shape_n);
       return 1;
     }

@@ -55,7 +55,8 @@ int main() {
     pb.pack(b.view());
     blas::basic_kernel1(pa31.tile(0), pb.tile(0), k2, c1.data(), c1.ld());
     blas::basic_kernel2(pa30.tile(0), pb.tile(0), k2, c2.data(), c2.ld());
-    blas::gemm_ref<double>(1.0, a.view(), b.view(), 0.0, ref.view());
+    blas::gemm_ref<double>(1.0, a.view(), b.view(), 0.0, ref.view(),
+                           blas::mk::Accumulate::kUnfused);
     double e1 = 0, e2 = 0;
     for (std::size_t r = 0; r < 31; ++r)
       for (std::size_t j = 0; j < 8; ++j) {
@@ -74,7 +75,8 @@ int main() {
   c.fill(0);
   c_ref.fill(0);
   blas::gemm_tiled<double>(1.0, a.view(), b.view(), 0.0, c.view(), 300);
-  blas::gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c_ref.view());
+  blas::gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c_ref.view(),
+                         blas::mk::select_kernel<double>(0).accumulate());
   const double err = util::max_abs_diff<double>(c.view(), c_ref.view());
   std::printf(
       "packed 30xk/kx8 tiled GEMM (%zux%zux%zu) vs reference: |diff| = %.2e\n",

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-stop verification gate: builds everything, runs the tier-1 ctest
-# suite, re-runs the labelled subsets that exercise the messaging layer
+# suite, rebuilds everything with -DXPHI_WERROR=ON, re-runs the labelled
+# subsets that exercise the messaging layer
 # (-L net: the coroutine World, the engine-conformance suite, the chaos
 # harness, distributed HPL and the bench_scaling smoke gate), the
 # fault-injection chaos harness (-L fault), the autotuning subsystem
@@ -24,6 +25,12 @@ cmake --build "$BUILD_DIR" -j"$(nproc)"
 
 echo "== tier-1 ctest =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
+
+# Every target (library, tests, benches, examples) must also build with
+# warnings as errors, so a new warning fails here instead of piling up.
+echo "== build -DXPHI_WERROR=ON =="
+cmake -B "${BUILD_DIR}-werror" -S . -DXPHI_WERROR=ON >/dev/null
+cmake --build "${BUILD_DIR}-werror" -j"$(nproc)"
 
 echo "== ctest -L net =="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -L net
@@ -51,8 +58,10 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -L hpcc
 
 # The registry's bitwise-determinism contract is cross-preset: the same
 # sources built with -march=native and with the x86-64 baseline must
-# dispatch correctly and agree with gemm_ref bit for bit. Build the
-# microkernel suite under both presets and run it in each. The serve suite
+# dispatch correctly and agree bit for bit with gemm_ref under each
+# kernel's contract (fused fp64 at the avx2/avx512 tiers, unfused
+# elsewhere; the per-TU flags make the tier, not the preset, decide).
+# Build the microkernel suite under both presets and run it in each. The serve suite
 # rides along: its responses and decision hashes must also be preset-blind
 # (the dispatcher's virtual time never sees the ISA). The mixed-precision
 # suite runs in both too — the fp32 tables have their own per-ISA variants

@@ -18,8 +18,10 @@
 // tile geometry, and interior tiles run the shape's branch-free full-tile
 // path while true edge tiles take its masked store — the paper's "edge
 // waste" — so interior tiles never pay for edges. Every registered shape
-// and ISA variant accumulates each C element over k in the same ascending
-// order (kernels_inl.h), so dispatch changes speed, never numerics.
+// accumulates each C element over k in the same ascending order under its
+// tier's contract (kernels_inl.h: fused fp64 at avx2/avx512, unfused
+// otherwise), so the shape changes speed, never numerics; the tier fixes
+// the fp64 rounding contract.
 //
 // On top of the k-chunked outer-product pipeline, GemmOptions adds the
 // classic mc/nc cache blocking: C advances in (mc x nc) panels so the
@@ -32,6 +34,7 @@
 #pragma once
 
 #include <cstddef>
+#include <type_traits>
 
 #include "blas/microkernel/registry.h"
 #include "blas/pack.h"
@@ -45,9 +48,11 @@ namespace xphi::blas {
 // the unit tests pin directly. Registered types (double/float) normally
 // dispatch to per-ISA compiled copies of these same templates; this
 // namespace and those TUs share one source of truth (kernels_inl.h). It
-// uses the baseline 16-byte vector width, which every build target has.
+// uses the baseline 16-byte vector width and the unfused k-step, which
+// every build target has.
 namespace ukr {
 inline constexpr std::size_t kVectorBytes = 16;
+inline constexpr bool kFusedDouble = false;
 #include "blas/microkernel/kernels_inl.h"
 }  // namespace ukr
 

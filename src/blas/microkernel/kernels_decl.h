@@ -38,6 +38,12 @@ namespace xphi::blas::mk {
 
 inline constexpr std::size_t kShapeCount = 6;
 
+/// How a kernel accumulates each C element's ascending-k chain (DESIGN.md
+/// §12): kUnfused rounds a*b and then the sum, kFused rounds acc + a*b once
+/// (std::fma). fp64 at the avx2/avx512 tiers is fused; fp64 at the generic
+/// tier and fp32 at every tier are unfused. gemm_ref computes either.
+enum class Accumulate : int { kUnfused = 0, kFused = 1 };
+
 /// Per-shape entry points of one ISA translation unit.
 template <class T>
 struct Fns {
@@ -48,6 +54,7 @@ struct Fns {
                             std::size_t rows, std::size_t cols);
   FullFn full = nullptr;
   MaskedFn masked = nullptr;
+  Accumulate accumulate = Accumulate::kUnfused;
   explicit operator bool() const noexcept { return full != nullptr; }
 };
 

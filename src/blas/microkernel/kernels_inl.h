@@ -4,31 +4,44 @@
 // This header is deliberately include-guard-free and include-free: each
 // kernel translation unit (kernels_generic.cc, kernels_avx2.cc,
 // kernels_avx512.cc) #includes it *inside its own namespace* after pulling
-// <cstddef> in at global scope. The per-TU namespace is what keeps one ISA's
-// instantiations out of another's: if the templates lived in a shared
-// namespace, the inline (COMDAT) instantiations from the -mavx2 TU and the
-// baseline TU would have identical mangled names and the linker would keep
-// an arbitrary one — an AVX2-coded copy could then be reached on an
-// SSE2-only host through what looks like the generic entry point. Distinct
-// namespaces give distinct symbols, so each table entry points at code
-// compiled with exactly its advertised flags.
+// <cstddef> and <type_traits> in at global scope. The per-TU namespace is
+// what keeps one ISA's instantiations out of another's: if the templates
+// lived in a shared namespace, the inline (COMDAT) instantiations from the
+// -mavx2 TU and the baseline TU would have identical mangled names and the
+// linker would keep an arbitrary one — an AVX2-coded copy could then be
+// reached on an SSE2-only host through what looks like the generic entry
+// point. Distinct namespaces give distinct symbols, so each table entry
+// points at code compiled with exactly its advertised flags.
 //
 // The including namespace must also declare
 //   inline constexpr std::size_t kVectorBytes = <16 | 32 | 64>;
-// the vector width of its tier. Register blocks are explicit GCC
-// vector-extension values of at most that width rather than scalar arrays
-// left to the auto-vectorizer, which split the rows into mixed-width
-// vectors and spilled accumulators to the stack. The width is per tier on
-// purpose: one 64-byte type compiled for SSE2/AVX2 is split by the compiler
-// and spills as well.
+//   inline constexpr bool kFusedDouble = <true | false>;
+// the vector width of its tier and whether its fp64 kernels accumulate
+// through fused multiply-adds. A namespace that sets kFusedDouble also
+// provides fused_madd(acc, a, b) for every fp64 row-vector width (16, 32
+// and, at the avx512 tier, 64 bytes): acc + (*a) * b with one rounding, the
+// A element broadcast by the ISA's own broadcast intrinsic. Register blocks
+// are explicit GCC vector-extension values of at most kVectorBytes rather
+// than scalar arrays left to the auto-vectorizer, which split the rows into
+// mixed-width vectors and spilled accumulators to the stack. The width is
+// per tier on purpose: one 64-byte type compiled for SSE2/AVX2 is split by
+// the compiler and spills as well.
 //
 // Determinism contract (DESIGN.md §12): for every shape and ISA, each C
 // element accumulates its k-products in ascending k order into a single
-// accumulator, then stores alpha*acc + beta*c once. The shape only groups
-// *rows*, and a vector lane only groups *columns*; neither reassociates a C
-// element's reduction. Combined with -ffp-contract=off on every kernel TU
-// (no FMA contraction of a*b+c), all registered kernels are
-// bitwise-identical to gemm_ref for the same operand split.
+// accumulator, then stores alpha*acc + beta*c once (two roundings). The
+// shape only groups *rows*, and a vector lane only groups *columns*;
+// neither reassociates a C element's reduction. The k-step itself is the
+// one per-tier choice: fused (acc = fma(a, b, acc), one rounding) for fp64
+// at the FMA tiers, unfused (a*b rounded, then added) for fp64 at the
+// generic tier and for fp32 at every tier. Every TU compiles with
+// -ffp-contract=off, so FMA only ever comes from the explicit fused_madd
+// intrinsics. A kernel is therefore bitwise-identical to gemm_ref under its
+// own contract (Fns::accumulate), and all kernels of one contract agree.
+
+/// Whether T's kernels in this namespace take the fused k-step.
+template <class T>
+inline constexpr bool kFusedStep = kFusedDouble && std::is_same_v<T, double>;
 
 /// Byte width of one C-row vector for an Nr-element row of T: the tier
 /// width kVectorBytes, halved until it divides the row (8x6 fp64 rows use
@@ -80,11 +93,17 @@ void ukr_full(const T* a_tile, const T* b_tile, std::size_t k, T alpha,
       V bv[kNv];
       for (std::size_t v = 0; v < kNv; ++v)
         bv[v] = load_vector<V>(b_row + v * kLanes);
+      // The k-step: one fused rounding, or the product rounded and then
+      // added.
       for (std::size_t r = 0; r < Mr; ++r) {
         const T av = a_col[r];
         for (std::size_t v = 0; v < kNv; ++v) {
-          const V prod = av * bv[v];
-          acc[r][v] += prod;
+          if constexpr (kFusedStep<T>) {
+            acc[r][v] = fused_madd(acc[r][v], a_col + r, bv[v]);
+          } else {
+            const V prod = av * bv[v];
+            acc[r][v] += prod;
+          }
         }
       }
     }

@@ -31,8 +31,8 @@ Isa host_max_isa() {
 /// at the avx2 and avx512 tiers (two xmm at generic), so no fp32 shape has
 /// more lanes than 4x8, and in bench_fig4's per-shape L1 table
 /// (EXPERIMENTS.md) no taller fp32 block beats it beyond the run-to-run
-/// spread. Neither preference is a numerics choice: every shape is bitwise
-/// identical (kernels_inl.h).
+/// spread. Neither preference is a numerics choice: every shape of a tier
+/// is bitwise identical (kernels_inl.h).
 template <class T>
 int preferred_shape_id(Isa isa) {
   if constexpr (std::is_same_v<T, float>) {

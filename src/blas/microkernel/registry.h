@@ -14,9 +14,10 @@
 //
 // A shape forced onto a host whose build lacks that ISA variant silently
 // degrades to the widest variant *of that shape* that is present — the
-// shape (and therefore the numerics contract) is honored exactly; only the
-// instruction encoding changes, and all ISA variants of a shape are
-// bitwise-identical (kernels_inl.h).
+// shape is honored exactly. The avx2 and avx512 variants of a shape are
+// bitwise-identical; falling back to the generic tier also switches fp64
+// from the fused to the unfused contract, which Selection::accumulate()
+// reports (kernels_inl.h).
 //
 // Spec grammar: "MRxNR[@isa]" or "auto[@isa]", isa in {generic, avx2,
 // avx512}. "auto@generic" caps the tier without pinning a shape.
@@ -82,6 +83,9 @@ struct Selection {
   std::size_t nr() const noexcept { return kernel->shape.nr; }
   std::size_t tile_rows() const noexcept { return kernel->shape.tile_rows; }
   int id() const noexcept { return kernel->shape.id; }
+  /// The bitwise contract of the code that runs: the reference to compare
+  /// it with is gemm_ref under this contract.
+  Accumulate accumulate() const noexcept { return fns.accumulate; }
   /// "6x8@avx2" — the attribution string bench artifacts record.
   std::string name() const {
     return kernel == nullptr

@@ -31,8 +31,15 @@ struct ShapeBucket {
 
   /// Stable string form used as the DB key: "m<..>_n<..>_k<..>".
   std::string key() const {
-    return "m" + std::to_string(m) + "_n" + std::to_string(n) + "_k" +
-           std::to_string(k);
+    // Appended piecewise: GCC 12 flags the `"m" + std::to_string(...)`
+    // chain with a false -Wrestrict, which -DXPHI_WERROR=ON turns fatal.
+    std::string s = "m";
+    s += std::to_string(m);
+    s += "_n";
+    s += std::to_string(n);
+    s += "_k";
+    s += std::to_string(k);
+    return s;
   }
 };
 

@@ -79,7 +79,8 @@ class BasicKernelTest : public ::testing::Test {
     pa.pack(a.view(), rows);  // one tile of exactly `rows` rows
     pb.pack(b.view());
     kernel(pa.tile(0), pb.tile(0), k, c.data(), c.ld());
-    gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c_ref.view());
+    gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c_ref.view(),
+                     mk::Accumulate::kUnfused);
     EXPECT_LT(util::max_abs_diff<double>(c.view(), c_ref.view()), 1e-12)
         << "rows=" << rows << " k=" << k;
   }
@@ -123,7 +124,8 @@ TEST_F(BasicKernelTest, KernelsAccumulateIntoC) {
   util::fill_hpl_matrix(b.view(), 8);
   c.fill(2.5);
   expect.fill(2.5);
-  gemm_ref<double>(1.0, a.view(), b.view(), 1.0, expect.view());
+  gemm_ref<double>(1.0, a.view(), b.view(), 1.0, expect.view(),
+                   mk::Accumulate::kUnfused);
   PackedA<double> pa;
   PackedB<double> pb;
   pa.pack(a.view(), 30);

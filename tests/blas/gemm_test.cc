@@ -28,7 +28,8 @@ void expect_gemm_matches_ref(std::size_t m, std::size_t n, std::size_t k,
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t cc = 0; cc < n; ++cc) c_ref(r, cc) = c(r, cc);
 
-  gemm_ref<T>(alpha, a.view(), b.view(), beta, c_ref.view());
+  gemm_ref<T>(alpha, a.view(), b.view(), beta, c_ref.view(),
+              mk::select_kernel<T>(0).accumulate());
   gemm_tiled<T>(alpha, a.view(), b.view(), beta, c.view(), chunk_k, pool);
   EXPECT_LT(util::max_abs_diff<T>(c.view(), c_ref.view()), tol)
       << "m=" << m << " n=" << n << " k=" << k;
@@ -46,7 +47,8 @@ TEST(MicroKernel, SingleTileMatchesRef) {
   pb.pack(b.view());
   micro_kernel<double>(pa.tile(0), pb.tile(0), 17, 1.0, 0.0, c.data(), c.ld(),
                        30, 8);
-  gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c_ref.view());
+  gemm_ref<double>(1.0, a.view(), b.view(), 0.0, c_ref.view(),
+                   mk::Accumulate::kUnfused);
   EXPECT_LT(util::max_abs_diff<double>(c.view(), c_ref.view()), 1e-12);
 }
 
@@ -131,7 +133,8 @@ TEST(OuterProductPacked, OperatesOnSubBlockOfC) {
   outer_product_packed<double>(1.0, pa, pb, 0.0, cblk);
   Matrix<double> ref(30, 16);
   ref.fill(0.0);
-  gemm_ref<double>(1.0, a.view(), b.view(), 0.0, ref.view());
+  gemm_ref<double>(1.0, a.view(), b.view(), 0.0, ref.view(),
+                   mk::Accumulate::kUnfused);
   EXPECT_LT(util::max_abs_diff<double>(
                 util::MatrixView<const double>(cblk), ref.view()),
             1e-12);
@@ -164,7 +167,8 @@ TEST(GemmColMajor, MatchesRowMajorReference) {
     }
   }
   cref.fill(0.0);
-  gemm_ref<double>(1.0, arm.view(), brm.view(), 0.0, cref.view());
+  gemm_ref<double>(1.0, arm.view(), brm.view(), 0.0, cref.view(),
+                   mk::Accumulate::kUnfused);
   gemm_tiled_colmajor<double>(m, n, k, 1.0, a.data(), lda, b.data(), ldb, 0.0,
                               c.data(), ldc, /*chunk_k=*/8);
   double err = 0;

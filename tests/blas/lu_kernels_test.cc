@@ -57,7 +57,8 @@ TEST(GetrfUnblocked, ReproducesPLU) {
     for (std::size_t c = 0; c < r; ++c) l(r, c) = a(r, c);
     for (std::size_t c = r; c < n; ++c) u(r, c) = a(r, c);
   }
-  gemm_ref<double>(1.0, l.view(), u.view(), 0.0, lu.view());
+  gemm_ref<double>(1.0, l.view(), u.view(), 0.0, lu.view(),
+                   mk::Accumulate::kUnfused);
   // Apply the same interchanges to the original.
   laswp<double>(orig.view(), ipiv, 0, n);
   EXPECT_LT(util::max_abs_diff<double>(lu.view(), orig.view()), 1e-12);
@@ -86,7 +87,8 @@ TEST(GetrfUnblocked, TallPanel) {
       else if (r > c) l(r, c) = a(r, c);
       if (r <= c && r < 5) u(r, c) = a(r, c);
     }
-  gemm_ref<double>(1.0, l.view(), u.view(), 0.0, lu.view());
+  gemm_ref<double>(1.0, l.view(), u.view(), 0.0, lu.view(),
+                   mk::Accumulate::kUnfused);
   laswp<double>(orig.view(), ipiv, 0, 5);
   EXPECT_LT(util::max_abs_diff<double>(lu.view(), orig.view()), 1e-12);
 }
@@ -121,7 +123,8 @@ TEST(TrsmLowerUnit, SolvesAgainstRef) {
   // L * X must equal B.
   Matrix<double> lx(n, m);
   lx.fill(0);
-  gemm_ref<double>(1.0, l.view(), x.view(), 0.0, lx.view());
+  gemm_ref<double>(1.0, l.view(), x.view(), 0.0, lx.view(),
+                   mk::Accumulate::kUnfused);
   EXPECT_LT(util::max_abs_diff<double>(lx.view(), b.view()), 1e-12);
 }
 
@@ -139,7 +142,8 @@ TEST(TrsmUpper, SolvesAgainstRef) {
   trsm_left_upper<double>(u.view(), x.view());
   Matrix<double> ux(n, m);
   ux.fill(0);
-  gemm_ref<double>(1.0, u.view(), x.view(), 0.0, ux.view());
+  gemm_ref<double>(1.0, u.view(), x.view(), 0.0, ux.view(),
+                   mk::Accumulate::kUnfused);
   EXPECT_LT(util::max_abs_diff<double>(ux.view(), b.view()), 1e-12);
 }
 

@@ -1,5 +1,6 @@
 // Tests for the runtime-dispatched micro-kernel registry (DESIGN.md §12):
-// per-shape bitwise identity against the reference GEMM across ragged
+// per-shape bitwise identity against the reference GEMM of the kernel's own
+// contract (fused fp64 at the FMA tiers, unfused elsewhere) across ragged
 // edges, forced dispatch of every registered shape, the analytic block
 // model's cache-fit invariants, and the bitwise-neutrality guarantees the
 // LU drivers rely on (kernel shape, mc/nc blocking, TRSM register rank).
@@ -10,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -69,12 +71,12 @@ Matrix<T> run_forced(const std::string& spec, std::size_t m, std::size_t n,
 
 template <class T = double>
 Matrix<T> run_ref(std::size_t m, std::size_t n, std::size_t k,
-                  std::uint64_t seed) {
+                  std::uint64_t seed, mk::Accumulate contract) {
   Matrix<T> a(m, k), b(k, n), c(m, n);
   fill_random<T>(a.view(), seed);
   fill_random<T>(b.view(), seed ^ 0x51);
   fill_random<T>(c.view(), seed ^ 0xc3);
-  gemm_ref<T>(T(1.5), a.view(), b.view(), T(-0.5), c.view());
+  gemm_ref<T>(T(1.5), a.view(), b.view(), T(-0.5), c.view(), contract);
   return c;
 }
 
@@ -198,6 +200,13 @@ mk::Isa host_tier() {
   return mk::Isa::kGeneric;
 }
 
+/// Whether this build and host run the avx2 tier, the narrowest fused one.
+bool runs_fused_tier() {
+  const auto sel = mk::select_kernel_spec<double>("8x8@avx2");
+  return host_tier() != mk::Isa::kGeneric && sel.has_value() &&
+         sel->isa == mk::Isa::kAvx2;
+}
+
 /// The invariant the packed-operand callers (offload engine, DAG LU) rely
 /// on: operands packed at dispatched_tile(id) and dispatched through
 /// select_for_tile(..., id) run the kernel gemm_tiled picks for that id.
@@ -244,7 +253,8 @@ TEST(MicrokernelBitwise, EveryShapeAndIsaMatchesReference) {
       // The spec must actually resolve on this host (a host without AVX2
       // still links the AVX2 table when the compiler supports the flag,
       // but dispatching it would execute illegal instructions).
-      if (!mk::select_kernel_spec<double>(spec).has_value()) continue;
+      const auto sel = mk::select_kernel_spec<double>(spec);
+      if (!sel.has_value()) continue;
       for (const std::size_t m : ms) {
         if (m == 0) continue;
         for (const std::size_t n : ns) {
@@ -252,7 +262,7 @@ TEST(MicrokernelBitwise, EveryShapeAndIsaMatchesReference) {
           for (const std::size_t kk : ks) {
             const std::uint64_t seed = m * 1000003 + n * 1009 + kk;
             const auto got = run_forced(spec, m, n, kk, seed);
-            const auto want = run_ref(m, n, kk, seed);
+            const auto want = run_ref(m, n, kk, seed, sel->accumulate());
             ASSERT_TRUE(bitwise_equal(got.view(), want.view()))
                 << spec << " m=" << m << " n=" << n << " k=" << kk;
           }
@@ -275,7 +285,8 @@ TEST(MicrokernelBitwise, FloatEveryShapeAndIsaMatchesReference) {
       if (!k.variants[isa]) continue;
       const std::string spec = std::string(k.shape.name) + "@" +
                                mk::isa_name(static_cast<mk::Isa>(isa));
-      if (!mk::select_kernel_spec<float>(spec).has_value()) continue;
+      const auto sel = mk::select_kernel_spec<float>(spec);
+      if (!sel.has_value()) continue;
       for (const std::size_t m : ms) {
         if (m == 0) continue;
         for (const std::size_t n : ns) {
@@ -283,7 +294,8 @@ TEST(MicrokernelBitwise, FloatEveryShapeAndIsaMatchesReference) {
           for (const std::size_t kk : ks) {
             const std::uint64_t seed = m * 1000003 + n * 1009 + kk;
             const auto got = run_forced<float>(spec, m, n, kk, seed);
-            const auto want = run_ref<float>(m, n, kk, seed);
+            const auto want =
+                run_ref<float>(m, n, kk, seed, sel->accumulate());
             ASSERT_TRUE(bitwise_equal(got.view(), want.view()))
                 << spec << " m=" << m << " n=" << n << " k=" << kk;
           }
@@ -293,42 +305,88 @@ TEST(MicrokernelBitwise, FloatEveryShapeAndIsaMatchesReference) {
   }
 }
 
-TEST(MicrokernelBitwise, FloatAllShapesAgree) {
-  // The shape-neutrality contract holds in fp32 too — the float dispatch
-  // policy (4x8 everywhere) is a pure perf choice, never a numerics one.
+/// Every (shape, tier) the host can run, grouped by contract: kernels of
+/// one contract must agree bit for bit whatever their shape or tier (each C
+/// element is one ascending-k chain regardless of Mr x Nr or vector width).
+/// Returns how many contracts had at least one runnable kernel.
+template <class T>
+std::size_t expect_kernels_agree_within_contract() {
   const std::size_t m = 41, n = 37, k = 23;
-  Matrix<float> first;
-  bool have_first = false;
-  for (const auto& kern : mk::registry<float>()) {
-    const std::string spec = std::string(kern.shape.name) + "@generic";
-    auto c = run_forced<float>(spec, m, n, k, 77);
-    if (!have_first) {
-      first = std::move(c);
-      have_first = true;
-      continue;
+  std::optional<Matrix<T>> first[2];
+  std::string first_spec[2];
+  for (const auto& kern : mk::registry<T>()) {
+    for (std::size_t isa = 0; isa < mk::kIsaCount; ++isa) {
+      const auto tier = static_cast<mk::Isa>(isa);
+      const std::string spec =
+          std::string(kern.shape.name) + "@" + mk::isa_name(tier);
+      const auto sel = mk::select_kernel_spec<T>(spec);
+      if (!sel.has_value() || sel->isa != tier) continue;
+      const auto contract = static_cast<std::size_t>(sel->accumulate());
+      auto c = run_forced<T>(spec, m, n, k, 77);
+      if (!first[contract]) {
+        first[contract] = std::move(c);
+        first_spec[contract] = spec;
+        continue;
+      }
+      EXPECT_TRUE(bitwise_equal(c.view(), first[contract]->view()))
+          << spec << " vs " << first_spec[contract];
     }
-    ASSERT_TRUE(bitwise_equal(c.view(), first.view())) << spec;
   }
-  ASSERT_TRUE(have_first);
+  return static_cast<std::size_t>(first[0].has_value()) +
+         static_cast<std::size_t>(first[1].has_value());
+}
+
+TEST(MicrokernelBitwise, FloatAllShapesAgree) {
+  // fp32 is unfused at every tier, so every fp32 kernel the host runs
+  // agrees — the float dispatch policy (4x8 everywhere) is a pure perf
+  // choice, never a numerics one.
+  EXPECT_EQ(expect_kernels_agree_within_contract<float>(), 1u);
 }
 
 TEST(MicrokernelBitwise, AllShapesAgree) {
-  // The determinism contract: the kernel shape never changes a bit of the
-  // result (each C element is one ascending-k chain regardless of Mr x Nr).
-  const std::size_t m = 41, n = 37, k = 23;
-  Matrix<double> first;
-  bool have_first = false;
+  // The determinism contract within a tier: the kernel shape never changes
+  // a bit of the result. The fused fp64 tiers (avx2, avx512) agree with
+  // each other too; they differ from the generic tier by design.
+  const std::size_t contracts = expect_kernels_agree_within_contract<double>();
+  EXPECT_EQ(contracts, runs_fused_tier() ? 2u : 1u);
+}
+
+TEST(MicrokernelContract, FusedExactlyForFp64AtFmaTiers) {
+  // The per-(type, tier) contract of every compiled table entry, runnable
+  // on this host or not: fp64 is fused at avx2 and avx512, unfused at
+  // generic; fp32 is unfused everywhere.
   for (const auto& kern : mk::registry<double>()) {
-    const std::string spec = std::string(kern.shape.name) + "@generic";
-    auto c = run_forced(spec, m, n, k, 77);
-    if (!have_first) {
-      first = std::move(c);
-      have_first = true;
-      continue;
+    for (std::size_t isa = 0; isa < mk::kIsaCount; ++isa) {
+      if (!kern.variants[isa]) continue;
+      EXPECT_EQ(kern.variants[isa].accumulate,
+                isa == static_cast<std::size_t>(mk::Isa::kGeneric)
+                    ? mk::Accumulate::kUnfused
+                    : mk::Accumulate::kFused)
+          << kern.shape.name << "@" << mk::isa_name(static_cast<mk::Isa>(isa));
     }
-    ASSERT_TRUE(bitwise_equal(c.view(), first.view())) << spec;
   }
-  ASSERT_TRUE(have_first);
+  for (const auto& kern : mk::registry<float>()) {
+    for (std::size_t isa = 0; isa < mk::kIsaCount; ++isa) {
+      if (!kern.variants[isa]) continue;
+      EXPECT_EQ(kern.variants[isa].accumulate, mk::Accumulate::kUnfused)
+          << kern.shape.name << "@" << mk::isa_name(static_cast<mk::Isa>(isa));
+    }
+  }
+}
+
+TEST(MicrokernelContract, FusedKernelsDifferFromUnfusedReference) {
+  // The two references are different contracts: a fused kernel matches
+  // the fused gemm_ref and not the unfused one on operands where one
+  // rounding per k-step shows (k = 31 random products).
+  if (!runs_fused_tier()) GTEST_SKIP() << "no fused tier runs here";
+  const std::size_t m = 32, n = 8, k = 31;
+  const auto sel = mk::select_kernel_spec<double>("8x8@avx2");
+  ASSERT_EQ(sel->accumulate(), mk::Accumulate::kFused);
+  auto got = run_forced(sel->name(), m, n, k, 5);
+  auto fused = run_ref(m, n, k, 5, mk::Accumulate::kFused);
+  auto unfused = run_ref(m, n, k, 5, mk::Accumulate::kUnfused);
+  EXPECT_TRUE(bitwise_equal(got.view(), fused.view()));
+  EXPECT_FALSE(bitwise_equal(got.view(), unfused.view()));
 }
 
 /// Non-finite operands injected by the direct-call harness. Each case
@@ -392,7 +450,8 @@ void expect_direct_matches_reference(const mk::Selection<T>& sel,
   util::AlignedBuffer<T> want(c_len);
   std::memcpy(want.data(), c.data(), c_len * sizeof(T));
   gemm_ref<T>(T(1.5), a.view(), b.view(), T(dc.beta),
-              MatrixView<T>(want.data() + dc.c_off, dc.rows, dc.cols, dc.ldc));
+              MatrixView<T>(want.data() + dc.c_off, dc.rows, dc.cols, dc.ldc),
+              sel.accumulate());
   if (dc.rows == tr && dc.cols == nr) {
     sel.fns.full(pa.data(), b_tile, k, T(1.5), T(dc.beta), cv.data(), dc.ldc);
   } else {

@@ -4,9 +4,12 @@
 // server's offload path — must produce factors and pivots bitwise equal to
 // getrf_blocked. getrf_blocked itself and the hybrid driver's residual are
 // pinned to hashes captured before the drivers shared one engine, so the
-// oracle cannot drift along with its clients. The stage_engine_tier_<tier>
-// ctest entries re-run every case with XPHI_MICROKERNEL=auto@<tier>, so
-// each ISA tier's micro-kernels reproduce the pinned hashes end to end.
+// oracle cannot drift along with its clients. fp64 carries one pin per
+// GEMM contract (DESIGN.md §12): the unfused pins are the original ones,
+// the fused pins were captured when the avx2/avx512 fp64 kernels started
+// accumulating through FMA. The stage_engine_tier_<tier> ctest entries
+// re-run every case with XPHI_MICROKERNEL=auto@<tier>, so each ISA tier's
+// micro-kernels reproduce their contract's pinned hashes end to end.
 #include "blas/getrf.h"
 
 #include <gtest/gtest.h>
@@ -29,16 +32,28 @@ namespace {
 
 struct Shape {
   std::size_t n, nb;
-  // FNV-1a of getrf_blocked's factors then pivots, fp64 and fp32.
-  std::uint64_t f64_hash, f32_hash;
+  // FNV-1a of getrf_blocked's factors then pivots: fp64 under the unfused
+  // contract (generic tier) and the fused one (avx2/avx512 tiers), and fp32
+  // (unfused at every tier).
+  std::uint64_t f64_hash, f64_fused_hash, f32_hash;
 };
 
 constexpr Shape kShapes[] = {
-    {150, 32, 0xfd974cbd56e06dbbull, 0xf24568a56cfe49e6ull},
-    {97, 16, 0xc9c9025f7d67e2d6ull, 0x325306c6c5b5c45full},
-    {256, 64, 0x8ee40b4c7af5b0b0ull, 0x5b4a73327b005eecull},
-    {20, 64, 0x4d1bbecf442b51c3ull, 0x8d95fa2ce0e84097ull},
+    {150, 32, 0xfd974cbd56e06dbbull, 0x29122dedc22691edull,
+     0xf24568a56cfe49e6ull},
+    {97, 16, 0xc9c9025f7d67e2d6ull, 0xa87dc2142295520bull,
+     0x325306c6c5b5c45full},
+    {256, 64, 0x8ee40b4c7af5b0b0ull, 0x8c8e480b9c317f59ull,
+     0x5b4a73327b005eecull},
+    {20, 64, 0x4d1bbecf442b51c3ull, 0x75cffd50736952bcull,
+     0x8d95fa2ce0e84097ull},
 };
+
+/// Whether this run's fp64 GEMMs accumulate fused: the contract follows
+/// the dispatched tier (XPHI_MICROKERNEL=auto@<tier> in the tier entries).
+bool fp64_fused() {
+  return mk::select_kernel<double>(0).accumulate() == mk::Accumulate::kFused;
+}
 
 std::uint64_t fnv1a(std::uint64_t h, const void* p, std::size_t len) {
   const auto* b = static_cast<const unsigned char*>(p);
@@ -187,7 +202,8 @@ TEST_F(StageEngine, BlockedOracleMatchesPinnedHashes) {
     const auto f64 = blocked<double>(s);
     const auto f32 = blocked<float>(s);
     ASSERT_TRUE(f64.ok && f32.ok) << s.n << "x" << s.nb;
-    EXPECT_EQ(f64.hash(), s.f64_hash) << s.n << "x" << s.nb;
+    EXPECT_EQ(f64.hash(), fp64_fused() ? s.f64_fused_hash : s.f64_hash)
+        << s.n << "x" << s.nb;
     EXPECT_EQ(f32.hash(), s.f32_hash) << s.n << "x" << s.nb;
   }
 }
@@ -271,10 +287,11 @@ TEST_F(StageEngine, HybridResidualMatchesPinnedBits) {
   struct Pin {
     std::size_t n, nb;
     int cards;
-    std::uint64_t residual_bits;
+    std::uint64_t residual_bits, fused_residual_bits;
   };
-  const Pin pins[] = {{150, 32, 1, 0x3f70e4b6702d65fcull},
-                      {97, 16, 2, 0x3f74a9c9f5508a27ull}};
+  const Pin pins[] = {
+      {150, 32, 1, 0x3f70e4b6702d65fcull, 0x3f75cf9e64feff32ull},
+      {97, 16, 2, 0x3f74a9c9f5508a27ull, 0x3f7301796a890d6full}};
   for (const Pin& pin : pins) {
     for (auto scheme : {core::FunctionalScheme::kNoLookahead,
                         core::FunctionalScheme::kBasic,
@@ -288,7 +305,8 @@ TEST_F(StageEngine, HybridResidualMatchesPinnedBits) {
       ASSERT_TRUE(res.ok);
       std::uint64_t bits;
       std::memcpy(&bits, &res.residual, sizeof bits);
-      EXPECT_EQ(bits, pin.residual_bits)
+      EXPECT_EQ(bits,
+                fp64_fused() ? pin.fused_residual_bits : pin.residual_bits)
           << pin.n << "x" << pin.nb << " scheme " << static_cast<int>(scheme);
     }
   }

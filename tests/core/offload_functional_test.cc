@@ -26,7 +26,8 @@ void expect_offload_matches_ref(std::size_t m, std::size_t n, std::size_t k,
   util::fill_hpl_matrix(c.view(), 3);
   for (std::size_t r = 0; r < m; ++r)
     for (std::size_t cc = 0; cc < n; ++cc) c_ref(r, cc) = c(r, cc);
-  blas::gemm_ref<double>(-1.0, a.view(), b.view(), 1.0, c_ref.view());
+  blas::gemm_ref<double>(-1.0, a.view(), b.view(), 1.0, c_ref.view(),
+                         blas::mk::Accumulate::kUnfused);
   const auto stats =
       offload_gemm_functional(-1.0, a.view(), b.view(), c.view(), cfg);
   EXPECT_LT(util::max_abs_diff<double>(c.view(), c_ref.view()), 1e-10);
@@ -87,7 +88,8 @@ TEST(OffloadFunctional, AlphaPlusOne) {
   util::fill_hpl_matrix(b.view(), 8);
   c.fill(1.0);
   c_ref.fill(1.0);
-  blas::gemm_ref<double>(2.0, a.view(), b.view(), 1.0, c_ref.view());
+  blas::gemm_ref<double>(2.0, a.view(), b.view(), 1.0, c_ref.view(),
+                         blas::mk::Accumulate::kUnfused);
   offload_gemm_functional(2.0, a.view(), b.view(), c.view(), {});
   EXPECT_LT(util::max_abs_diff<double>(c.view(), c_ref.view()), 1e-11);
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "blas/getrf.h"
+#include "blas/microkernel/registry.h"
 #include "blas/residual.h"
 #include "trace/timeline.h"
 #include "util/rng.h"
@@ -202,18 +203,28 @@ std::uint64_t result_hash(const DistributedHplResult& r) {
 TEST(DistributedHpl, FactorBitsPinnedAtParent) {
   // Hashes captured before the three look-ahead schemes shared one rank
   // stage and one panel/U transport: every scheme must keep reproducing
-  // them in both precisions, so the schemes cannot drift together.
+  // them in both precisions, so the schemes cannot drift together. fp64
+  // has one pin per GEMM contract (DESIGN.md §12): unfused on the generic
+  // tier, fused on the avx2/avx512 tiers (captured when those fp64 kernels
+  // started accumulating through FMA). The mixed runs factor in fp32,
+  // which is unfused at every tier, so they keep one pin.
   struct Pinned {
     std::size_t n, nb;
     Grid grid;
-    std::uint64_t fp64_hash, mixed_hash;
+    std::uint64_t fp64_hash, fp64_fused_hash, mixed_hash;
   };
   constexpr Pinned kPinned[] = {
-      {70, 12, Grid{2, 2}, 0x27f6cc4d223aa0b5ull, 0x1e451a2c305390aeull},
-      {84, 16, Grid{3, 2}, 0x6f5900ee16a433f6ull, 0xe3e01bcac64f1782ull},
-      {80, 16, Grid{2, 3}, 0x545d613577706b0aull, 0x35141798d004c26eull},
-      {48, 8, Grid{1, 3}, 0xa3bd6d49cbd9118dull, 0xff8c04d88ae3e89bull},
+      {70, 12, Grid{2, 2}, 0x27f6cc4d223aa0b5ull, 0x4677b618802a20daull,
+       0x1e451a2c305390aeull},
+      {84, 16, Grid{3, 2}, 0x6f5900ee16a433f6ull, 0xbd9fe0c24a6af44full,
+       0xe3e01bcac64f1782ull},
+      {80, 16, Grid{2, 3}, 0x545d613577706b0aull, 0xc11930f4edcc8eb4ull,
+       0x35141798d004c26eull},
+      {48, 8, Grid{1, 3}, 0xa3bd6d49cbd9118dull, 0x7cce42497ea19e3dull,
+       0xff8c04d88ae3e89bull},
   };
+  const bool fused = blas::mk::select_kernel<double>(0).accumulate() ==
+                     blas::mk::Accumulate::kFused;
   for (const Pinned& pin : kPinned) {
     for (auto precision : {Precision::kFp64, Precision::kMixed}) {
       for (auto scheme :
@@ -222,8 +233,10 @@ TEST(DistributedHpl, FactorBitsPinnedAtParent) {
         opt.precision = precision;
         opt.lookahead = scheme;
         const auto res = run_distributed_hpl(pin.n, pin.nb, pin.grid, 29, opt);
-        const std::uint64_t want =
-            precision == Precision::kMixed ? pin.mixed_hash : pin.fp64_hash;
+        const std::uint64_t want = precision == Precision::kMixed
+                                       ? pin.mixed_hash
+                                   : fused ? pin.fp64_fused_hash
+                                           : pin.fp64_hash;
         const std::uint64_t got = result_hash(res);
         ASSERT_TRUE(res.ok);
         EXPECT_EQ(got, want)

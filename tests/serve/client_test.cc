@@ -20,7 +20,9 @@ TEST(TrafficGen, DeterministicAndSorted) {
     EXPECT_EQ(a[i].matrix_seed, b[i].matrix_seed);
     EXPECT_EQ(a[i].rhs_seed, b[i].rhs_seed);
     EXPECT_EQ(a[i].arrival_s, b[i].arrival_s);  // bitwise
-    if (i > 0) EXPECT_GE(a[i].arrival_s, a[i - 1].arrival_s);
+    if (i > 0) {
+      EXPECT_GE(a[i].arrival_s, a[i - 1].arrival_s);
+    }
   }
 }
 

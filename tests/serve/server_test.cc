@@ -107,8 +107,11 @@ TEST(Server, AdmissionRejectsWhenLaneQueueFull) {
   for (const std::string& line : report.decisions)
     saw_reject_line |= line.find("reject job=") == 0;
   EXPECT_TRUE(saw_reject_line);
-  for (const JobOutcome& out : report.jobs)
-    if (out.rejected) EXPECT_TRUE(out.x.empty());
+  for (const JobOutcome& out : report.jobs) {
+    if (out.rejected) {
+      EXPECT_TRUE(out.x.empty());
+    }
+  }
 }
 
 TEST(Server, SoftCapBreachesSurfaceWhenMisconfigured) {

@@ -88,7 +88,7 @@ TEST(ThreadPool, DynamicSchedulingBalancesSkewedWork) {
       [&](std::size_t i) {
         if (i == 0) {
           volatile long burn = 0;
-          for (int r = 0; r < 2000000; ++r) burn += r;
+          for (int r = 0; r < 2000000; ++r) burn = burn + r;
         }
         sum.fetch_add(static_cast<long>(i) + 1);
       },
