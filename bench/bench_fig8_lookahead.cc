@@ -118,8 +118,7 @@ int main() {
                           .num("messages", messages)
                           .num("bytes", bytes)
                           .num("wait_s", wait)
-                          .num("residual", res.residual)
-                          .num("distributed_residual", res.distributed_residual));
+                          .num("residual", res.residual));
   }
   std::printf(
       "\nresidual checks passed; overlap[s] is cross-lane broadcast x DGEMM "

@@ -15,29 +15,52 @@ namespace xphi::blas {
 
 inline constexpr double kHplResidualThreshold = 16.0;
 
+/// The max-norm reduction and the scaled value of the HPL residual, shared
+/// by every evaluation of it: the sequential one below, mixed-precision
+/// refinement and the allreduced distributed check. Feed row i's (A x)_i,
+/// x_i and b_i to add(), in any row order. A NaN or Inf in A x or x makes
+/// scaled() infinite, so the gate fails: a plain `if (v > max)` skips a
+/// NaN, and an infinite ||x||_oo would scale any ||r||_oo down to 0.
+struct ResidualNorms {
+  double r_inf = 0, x_inf = 0, b_inf = 0;
+  bool finite = true;
+
+  void add(double ax, double x, double b) {
+    const double r = std::abs(ax - b);
+    const double xa = std::abs(x);
+    const double ba = std::abs(b);
+    finite = finite && std::isfinite(r) && std::isfinite(xa);
+    if (r > r_inf) r_inf = r;
+    if (xa > x_inf) x_inf = xa;
+    if (ba > b_inf) b_inf = ba;
+  }
+
+  /// ||r||_oo / (eps * (a_inf * ||x||_oo + ||b||_oo) * n), or +inf when a
+  /// non-finite entry was added.
+  double scaled(double a_inf, std::size_t n, double eps) const {
+    if (!finite) return std::numeric_limits<double>::infinity();
+    const double denom =
+        eps * (a_inf * x_inf + b_inf) * static_cast<double>(n);
+    return denom > 0 ? r_inf / denom : r_inf;
+  }
+};
+
 /// Scaled HPL residual for the solve A x = b.
 /// `a` is the ORIGINAL (unfactored) matrix.
 template <class T>
 double hpl_residual(util::MatrixView<const T> a, std::span<const T> x,
                     std::span<const T> b) {
   const std::size_t n = a.rows();
-  double r_inf = 0, x_inf = 0, b_inf = 0;
+  ResidualNorms norms;
   for (std::size_t i = 0; i < n; ++i) {
     double acc = 0;
     const T* row = a.row(i);
     for (std::size_t j = 0; j < n; ++j)
       acc += static_cast<double>(row[j]) * static_cast<double>(x[j]);
-    const double r = std::abs(acc - static_cast<double>(b[i]));
-    if (r > r_inf) r_inf = r;
-    const double xa = std::abs(static_cast<double>(x[i]));
-    if (xa > x_inf) x_inf = xa;
-    const double ba = std::abs(static_cast<double>(b[i]));
-    if (ba > b_inf) b_inf = ba;
+    norms.add(acc, static_cast<double>(x[i]), static_cast<double>(b[i]));
   }
-  const double a_inf = util::norm_inf<T>(a);
-  const double eps = std::numeric_limits<T>::epsilon();
-  const double denom = eps * (a_inf * x_inf + b_inf) * static_cast<double>(n);
-  return denom > 0 ? r_inf / denom : r_inf;
+  return norms.scaled(util::norm_inf<T>(a), n,
+                      std::numeric_limits<T>::epsilon());
 }
 
 }  // namespace xphi::blas

@@ -5,8 +5,10 @@
 // core/hybrid_hpl.h: it actually executes the communication pattern the
 // simulation costs — panel gather/factor/broadcast, cross-row pivot
 // exchanges, U forward-solve and broadcast down the columns, local trailing
-// updates — and is validated against the sequential blocked factorization
-// and the HPL residual test.
+// updates. Each run checks itself once, as HPL does: the scaled residual of
+// the returned solution, computed over the distributed data. The factors
+// gathered to rank 0 are returned for the tests, which compare them against
+// the sequential blocked factorization.
 //
 // The paper's three look-ahead schemes (Section IV, Figure 8) reorder the
 // same rank stage, as blas::getrf_stages does on one node: each scheme is a
@@ -69,28 +71,10 @@ struct DistributedHplOptions {
   /// kNone stage).
   int pipeline_subsets = 4;
 
-  /// Critical-path kernel knobs (blas::PanelOptions) for the root-rank panel
-  /// factorization and the fused local row-swap passes; 0 = kernel defaults.
-  std::size_t panel_nb_min = 0;
-  std::size_t laswp_col_chunk = 0;
-  /// Micro-kernel registry shape for the panel and the local trailing GEMM
-  /// (mr*100 + nr; 0 = auto-dispatch). Every rank must use the same value:
-  /// the shape is bitwise-neutral, but a consistent choice keeps per-rank
-  /// timing symmetric. The offload engine reads offload.knobs.microkernel.
-  int microkernel = 0;
-
   /// Optional capture of per-rank compute and communication spans
   /// (lane = rank; kBroadcast covers panel/U transfers and their waits,
   /// kRowSwap the pivot exchanges). Filled after the run completes.
   trace::Timeline* timeline = nullptr;
-
-  /// Receive timeout handed to net::World (seconds; 0 = wait forever).
-  /// A mismatched (src, tag) then surfaces as a diagnostic instead of a
-  /// hung test.
-  double recv_timeout_seconds = 120;
-  /// Mailbox soft cap handed to net::World (0 = off): logs when a rank's
-  /// queue of undelivered messages exceeds it.
-  std::size_t mailbox_soft_cap = 0;
 
   /// Worker OS threads for the World's cooperative rank scheduler
   /// (0 = min(ranks, hardware_concurrency)).
@@ -116,15 +100,17 @@ struct DistributedHplOptions {
 };
 
 struct DistributedHplResult {
+  /// residual < blas::kHplResidualThreshold.
   bool ok = false;
+  /// Scaled HPL residual of x, computed *distributed*: every rank
+  /// regenerates its local entries of A, contributes partial row sums of
+  /// A*x and |A|, and the norms are combined with a ring allreduce — no
+  /// gathered matrix needed. Under kMixed it is refine_trace.back().
   double residual = 0;
-  /// Residual computed *distributed*: every rank regenerates its local
-  /// entries of A, contributes partial row sums of A*x and |A|, and the
-  /// norms are combined with a ring allreduce — no gathered matrix needed.
-  double distributed_residual = 0;
-  /// Factored matrix gathered to rank 0 (L\U in place, rows swapped).
-  /// Under Precision::kMixed these are the fp32 factors widened to double
-  /// (exact), so they compare bitwise against a sequential
+  /// Factored matrix gathered to rank 0 (L\U in place, rows swapped): the
+  /// tests' oracle view of the distributed factors; the run itself never
+  /// reads it. Under Precision::kMixed these are the fp32 factors widened
+  /// to double (exact), so they compare bitwise against a sequential
   /// getrf_blocked<float> of the demoted matrix.
   util::Matrix<double> factored;
   /// Absolute global row interchanges, stage-ordered.
@@ -132,9 +118,6 @@ struct DistributedHplResult {
   /// Solution of Ax = b computed by the *distributed* triangular solves
   /// (block forward/back substitution with row-reductions and broadcasts).
   std::vector<double> x;
-  /// Max |x_distributed - x_gathered|: the distributed solve must agree with
-  /// solving on the gathered factors.
-  double solve_agreement = 0;
   /// Per-rank communication counters (bytes, messages, blocked-wait time,
   /// mailbox high-water mark), indexed by rank.
   std::vector<net::CommStats> comm_stats;
@@ -147,8 +130,8 @@ struct DistributedHplResult {
 };
 
 /// Factors the seeded HPL matrix of order n on a P x Q grid with panel width
-/// nb, solves Ax = b both distributed and on the gathered factors, and
-/// returns the residual, factors and solution.
+/// nb, solves Ax = b distributed (kMixed: and refines), checks the residual
+/// of that solution, and returns it with the gathered factors.
 DistributedHplResult run_distributed_hpl(std::size_t n, std::size_t nb,
                                          Grid grid, std::uint64_t seed = 42,
                                          const DistributedHplOptions& options = {});

@@ -1,7 +1,6 @@
 #include "hpl/mixed.h"
 
 #include <chrono>
-#include <cmath>
 #include <limits>
 
 #include "blas/getrf.h"
@@ -27,22 +26,15 @@ double residual_vector(MatrixView<const double> a, std::span<const double> x,
                        std::span<const double> b, double a_inf,
                        std::vector<double>& r) {
   const std::size_t n = a.rows();
-  double r_inf = 0, x_inf = 0, b_inf = 0;
+  blas::ResidualNorms norms;
   for (std::size_t i = 0; i < n; ++i) {
     double acc = 0;
     const double* row = a.row(i);
     for (std::size_t j = 0; j < n; ++j) acc += row[j] * x[j];
     r[i] = b[i] - acc;
-    const double ra = std::abs(acc - b[i]);
-    if (ra > r_inf) r_inf = ra;
-    const double xa = std::abs(x[i]);
-    if (xa > x_inf) x_inf = xa;
-    const double ba = std::abs(b[i]);
-    if (ba > b_inf) b_inf = ba;
+    norms.add(acc, x[i], b[i]);
   }
-  const double eps = std::numeric_limits<double>::epsilon();
-  const double denom = eps * (a_inf * x_inf + b_inf) * static_cast<double>(n);
-  return denom > 0 ? r_inf / denom : r_inf;
+  return norms.scaled(a_inf, n, std::numeric_limits<double>::epsilon());
 }
 
 }  // namespace
@@ -58,12 +50,8 @@ bool factor_mixed(MatrixView<const double> a, MixedFactors& out,
       dst[c] = static_cast<float>(src[c]);
   }
   out.ipiv.assign(n, 0);
-  blas::PanelOptions popt;
-  popt.nb_min = options.panel_nb_min;  // getrf_panel maps 0 to its default
-  popt.laswp_col_chunk = options.laswp_col_chunk;
-  popt.microkernel = options.microkernel;
   return blas::getrf_blocked<float>(out.lu.view(), out.ipiv, options.nb,
-                                    options.pool, popt);
+                                    options.pool);
 }
 
 MixedSolveResult refine_mixed(MatrixView<const double> a,

@@ -38,10 +38,6 @@ struct MixedOptions {
   std::size_t nb = 64;
   /// Trailing-GEMM pool of the blocked fp32 factorization; null = serial.
   util::ThreadPool* pool = nullptr;
-  /// Critical-path kernel knobs (blas::PanelOptions); 0 = kernel defaults.
-  std::size_t panel_nb_min = 0;
-  std::size_t laswp_col_chunk = 0;
-  int microkernel = 0;
   /// Correction-solve cap of the deterministic refinement schedule. fp32
   /// factors of the well-conditioned HPL matrix converge in 1-3 steps; the
   /// cap only bounds pathological inputs (result.ok = false when hit).

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "blas/residual.h"
@@ -89,6 +90,28 @@ TEST(HplResidual, LargeForWrongSolution) {
   util::fill_hpl_matrix(a.view(), 1);
   std::vector<double> b(n, 1.0), x(n, 1e6);
   EXPECT_GT(hpl_residual<double>(a.view(), x, b), kHplResidualThreshold);
+}
+
+TEST(HplResidual, NonFiniteSolutionFailsTheGate) {
+  // A NaN in x makes its rows of A x NaN, which a plain max-norm skips; an
+  // Inf inflates ||x|| until any ||r|| scales to 0. Neither may pass.
+  const std::size_t n = 8;
+  Matrix<double> a(n, n);
+  util::fill_hpl_matrix(a.view(), 1);
+  std::vector<double> b(n, 1.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<double>> bad = {
+      std::vector<double>(n, nan),
+      {0.5, nan, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5},
+      {0.5, 0.5, 0.5, inf, 0.5, 0.5, 0.5, 0.5},
+      {-inf, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5},
+      {0.5, inf, 0.5, 0.5, 0.5, nan, 0.5, 0.5},
+  };
+  for (const std::vector<double>& x : bad) {
+    const double r = hpl_residual<double>(a.view(), x, b);
+    EXPECT_FALSE(r < kHplResidualThreshold) << r;
+  }
 }
 
 // Property sweep across sizes and block widths.

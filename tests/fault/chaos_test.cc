@@ -320,7 +320,6 @@ TEST(Chaos, HplDropDelayDeadCardBitwiseResidual) {
                                        clean.factored.view()),
             0.0);
   EXPECT_EQ(faulted.residual, clean.residual);
-  EXPECT_EQ(faulted.distributed_residual, clean.distributed_residual);
 }
 
 TEST(Chaos, LookaheadSchemesSurviveSlowRankBitwise) {

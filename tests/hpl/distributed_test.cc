@@ -10,8 +10,8 @@
 #include "blas/getrf.h"
 #include "blas/microkernel/registry.h"
 #include "blas/residual.h"
+#include "oracle.h"
 #include "trace/timeline.h"
-#include "util/rng.h"
 
 namespace xphi::hpl {
 namespace {
@@ -85,7 +85,7 @@ TEST(DistributedHpl, DistributedSolveAgreesWithGatheredSolve) {
     ASSERT_TRUE(res.ok);
     // The block forward/back substitution over the distributed factors must
     // reproduce the gathered solve to roundoff.
-    EXPECT_LT(res.solve_agreement, 1e-10)
+    EXPECT_LT(gathered_solve_agreement(res, 33, {}), 1e-10)
         << grid.p << "x" << grid.q;
     EXPECT_EQ(res.x.size(), 84u);
   }
@@ -96,13 +96,9 @@ TEST(DistributedHpl, DistributedSolutionSolvesTheSystem) {
   const auto res = run_distributed_hpl(n, 8, Grid{2, 2}, 55);
   ASSERT_TRUE(res.ok);
   // Check Ax = b directly with the distributed x.
-  util::Matrix<double> a(n, n);
-  util::fill_hpl_matrix(a.view(), 55);
-  std::vector<double> b(n);
-  util::Rng rng(55 ^ 0xb0b);
-  for (auto& v : b) v = rng.next_centered();
-  const double resid = blas::hpl_residual<double>(a.view(), res.x, b);
-  EXPECT_LT(resid, blas::kHplResidualThreshold);
+  const System sys = make_system(n, 55);
+  EXPECT_LT(blas::hpl_residual<double>(sys.a.view(), res.x, sys.b),
+            blas::kHplResidualThreshold);
 }
 
 TEST(DistributedHpl, HybridOffloadEngineMatchesPlainUpdate) {
@@ -131,7 +127,7 @@ TEST(DistributedHpl, HybridOffloadTwoCardsPerRank) {
   opt.offload.knobs.nt = 20;
   const auto res = run_distributed_hpl(72, 12, Grid{1, 2}, 77, opt);
   EXPECT_TRUE(res.ok);
-  EXPECT_LT(res.solve_agreement, 1e-10);
+  EXPECT_LT(gathered_solve_agreement(res, 77, opt), 1e-10);
 }
 
 // ---------------------------------------------------------------------------
@@ -169,7 +165,7 @@ TEST(DistributedHpl, LookaheadSchemesBitwiseIdentical) {
                                              none.factored.view()),
                   0.0)
             << label();
-        EXPECT_LT(res.solve_agreement, 1e-10) << label();
+        EXPECT_LT(gathered_solve_agreement(res, 29, opt), 1e-10) << label();
       }
     }
   }
@@ -207,21 +203,28 @@ TEST(DistributedHpl, FactorBitsPinnedAtParent) {
   // has one pin per GEMM contract (DESIGN.md §12): unfused on the generic
   // tier, fused on the avx2/avx512 tiers (captured when those fp64 kernels
   // started accumulating through FMA). The mixed runs factor in fp32,
-  // which is unfused at every tier, so they keep one pin.
+  // which is unfused at every tier, so they keep one pin. The residuals
+  // are the distributed (allreduced) ones, captured when the run still
+  // reported them beside a second, gathered check.
   struct Pinned {
     std::size_t n, nb;
     Grid grid;
     std::uint64_t fp64_hash, fp64_fused_hash, mixed_hash;
+    double fp64_residual, fp64_fused_residual, mixed_residual;
   };
   constexpr Pinned kPinned[] = {
       {70, 12, Grid{2, 2}, 0x27f6cc4d223aa0b5ull, 0x4677b618802a20daull,
-       0x1e451a2c305390aeull},
+       0x1e451a2c305390aeull, 0x1.92563f42f8e7bp-8, 0x1.2ef33a4d1850ep-7,
+       0x1.a57eecf0d4055p-9},
       {84, 16, Grid{3, 2}, 0x6f5900ee16a433f6ull, 0xbd9fe0c24a6af44full,
-       0xe3e01bcac64f1782ull},
+       0xe3e01bcac64f1782ull, 0x1.e528006f957eap-8, 0x1.5a8a497446367p-8,
+       0x1.257984984361dp+3},
       {80, 16, Grid{2, 3}, 0x545d613577706b0aull, 0xc11930f4edcc8eb4ull,
-       0x35141798d004c26eull},
+       0x35141798d004c26eull, 0x1.9d66739c25d54p-7, 0x1.4ee80fe2f483cp-7,
+       0x1.a2a213dbb1a7p-10},
       {48, 8, Grid{1, 3}, 0xa3bd6d49cbd9118dull, 0x7cce42497ea19e3dull,
-       0xff8c04d88ae3e89bull},
+       0xff8c04d88ae3e89bull, 0x1.43459b92c1cb4p-7, 0x1.17a1df7bed5c4p-7,
+       0x1.f3f2dd236263ep-8},
   };
   const bool fused = blas::mk::select_kernel<double>(0).accumulate() ==
                      blas::mk::Accumulate::kFused;
@@ -233,17 +236,25 @@ TEST(DistributedHpl, FactorBitsPinnedAtParent) {
         opt.precision = precision;
         opt.lookahead = scheme;
         const auto res = run_distributed_hpl(pin.n, pin.nb, pin.grid, 29, opt);
-        const std::uint64_t want = precision == Precision::kMixed
-                                       ? pin.mixed_hash
+        const bool mixed = precision == Precision::kMixed;
+        const std::uint64_t want = mixed   ? pin.mixed_hash
                                    : fused ? pin.fp64_fused_hash
                                            : pin.fp64_hash;
+        const double want_residual = mixed   ? pin.mixed_residual
+                                     : fused ? pin.fp64_fused_residual
+                                             : pin.fp64_residual;
         const std::uint64_t got = result_hash(res);
+        const auto label = [&] {
+          return ::testing::Message()
+                 << "n=" << pin.n << " nb=" << pin.nb << " grid=" << pin.grid.p
+                 << "x" << pin.grid.q
+                 << " precision=" << precision_name(precision)
+                 << " scheme=" << static_cast<int>(scheme);
+        };
         ASSERT_TRUE(res.ok);
-        EXPECT_EQ(got, want)
-            << "n=" << pin.n << " nb=" << pin.nb << " grid=" << pin.grid.p
-            << "x" << pin.grid.q << " precision=" << precision_name(precision)
-            << " scheme=" << static_cast<int>(scheme) << " got=0x" << std::hex
-            << got;
+        EXPECT_EQ(got, want) << label() << " got=0x" << std::hex << got;
+        EXPECT_EQ(res.residual, want_residual)
+            << label() << " got=" << std::hexfloat << res.residual;
       }
     }
   }
@@ -311,19 +322,22 @@ TEST(DistributedHpl, PipelinedRecordsOverlappingCommAndCompute) {
             0.0);
 }
 
-TEST(DistributedHpl, DistributedResidualAgreesWithGatheredResidual) {
-  // The allreduce-based residual never gathers A; it must still pass the
-  // HPL test and land within FP-reordering distance of the gathered one.
+TEST(DistributedHpl, DistributedResidualAgreesWithSequentialResidual) {
+  // The run's residual is allreduced and never gathers A; it must still pass
+  // the HPL test and land within FP-reordering distance of the sequential
+  // evaluation of the same x.
+  const System sys = make_system(96, 23);
   for (auto scheme : {Lookahead::kNone, Lookahead::kBasic, Lookahead::kPipelined}) {
     DistributedHplOptions opt;
     opt.lookahead = scheme;
     const auto res = run_distributed_hpl(96, 12, Grid{2, 2}, 23, opt);
     ASSERT_TRUE(res.ok);
-    EXPECT_LT(res.distributed_residual, blas::kHplResidualThreshold);
-    EXPECT_GT(res.distributed_residual, 0.0);
+    const double seq = blas::hpl_residual<double>(sys.a.view(), res.x, sys.b);
+    EXPECT_LT(res.residual, blas::kHplResidualThreshold);
+    EXPECT_GT(res.residual, 0.0);
     // Same quantity up to summation order: within a small factor.
-    EXPECT_LT(res.distributed_residual, 4 * res.residual + 1.0);
-    EXPECT_GT(4 * res.distributed_residual + 1.0, res.residual);
+    EXPECT_LT(res.residual, 4 * seq + 1.0);
+    EXPECT_GT(4 * res.residual + 1.0, seq);
   }
 }
 
@@ -350,7 +364,7 @@ TEST(DistributedHpl, LookaheadWithOffloadEngine) {
   opt.offload.knobs.nt = 20;
   const auto res = run_distributed_hpl(72, 12, Grid{2, 2}, 19, opt);
   ASSERT_TRUE(res.ok);
-  EXPECT_LT(res.solve_agreement, 1e-10);
+  EXPECT_LT(gathered_solve_agreement(res, 19, opt), 1e-10);
 }
 
 // Property sweep over grid shapes and block sizes.
