@@ -6,7 +6,9 @@
 // (per-pivot swap loops, scalar triple-loop TRSM, serial recursion, and the
 // seed GEMM's 5-row register sub-blocks) so the comparison stays honest as
 // the live kernels keep evolving. Each cell is the best of `--reps` timed
-// runs on identical inputs.
+// runs on identical inputs. The panel_copy rows compare the stage loop's
+// serial look-ahead panel in place (before) against the same panel on a
+// contiguous copy (after), fp64 and fp32, and fail on any bit difference.
 //
 // Flags:
 //   --reps N     timed repetitions per cell (best-of)   [default 5]
@@ -17,6 +19,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,10 +28,12 @@
 #include <utility>
 #include <vector>
 
+#include "blas/getrf.h"
 #include "blas/lu_kernels.h"
 #include "blas/microkernel/cpu_features.h"
 #include "blas/microkernel/registry.h"
 #include "json_out.h"
+#include "util/aligned.h"
 #include "util/matrix.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -196,6 +201,56 @@ struct Row {
   Timing t{};
 };
 
+
+/// The serial look-ahead panel of an n x n matrix (getrf_stages on a pool):
+/// factored in place (ld = n) against factored on a contiguous copy
+/// (ld = jb, blas::detail::factor_panel_copy). The two must give the same
+/// factors and pivots; `bits_equal` reports whether they did.
+template <class T>
+Row panel_copy_row(std::size_t n, std::size_t jb, int reps, bool& bits_equal) {
+  Matrix<T> a0(n, jb), a(n, n);
+  {
+    Matrix<double> src(n, jb);
+    util::fill_hpl_matrix(src.view(), 17);
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < jb; ++c) a0(r, c) = static_cast<T>(src(r, c));
+  }
+  std::vector<std::size_t> piv(n);
+  util::AlignedBuffer<T> buf;
+  const blas::PanelOptions serial;
+  auto reset = [&] {
+    for (std::size_t r = 0; r < n; ++r)
+      for (std::size_t c = 0; c < jb; ++c) a(r, c) = a0(r, c);
+  };
+  auto in_place = [&] {
+    blas::getrf_panel<T>(a.view().block(0, 0, n, jb),
+                         std::span<std::size_t>(piv).first(jb), serial);
+  };
+  auto copied = [&] {
+    blas::detail::factor_panel_copy<T>(a.view(), piv, 0, jb, serial, buf);
+  };
+  const bool fp32 = sizeof(T) == sizeof(float);
+  Row row{.op = fp32 ? "panel_copy_f32" : "panel_copy",
+          .shape = std::to_string(n) + "x" + std::to_string(jb),
+          .work = static_cast<double>(jb) * jb *
+                  (static_cast<double>(n) - jb / 3.0),
+          .unit = "GF/s"};
+  row.t = time_pair(reps, reset, in_place, copied);
+  reset();
+  in_place();
+  Matrix<T> want(n, jb);
+  for (std::size_t r = 0; r < n; ++r)
+    std::memcpy(want.data() + r * jb, a.data() + r * a.ld(), jb * sizeof(T));
+  const std::vector<std::size_t> want_piv(piv.begin(), piv.begin() + jb);
+  reset();
+  copied();
+  bits_equal = std::equal(want_piv.begin(), want_piv.end(), piv.begin());
+  for (std::size_t r = 0; r < n && bits_equal; ++r)
+    bits_equal = std::memcmp(want.data() + r * jb, a.data() + r * a.ld(),
+                             jb * sizeof(T)) == 0;
+  return row;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -357,6 +412,28 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --- The look-ahead panel: serial, in place against a contiguous copy. --
+  // getrf_stages' pooled look-ahead factors the next panel on one
+  // participant, copied out of the matrix (ld = n) into an ld = jb buffer.
+  // Before = in place, after = the copy; both sides are serial, and their
+  // factors and pivots must match bit for bit.
+  std::vector<std::string> bit_mismatches;
+  {
+    const std::vector<std::size_t> heights =
+        opt.smoke ? std::vector<std::size_t>{256}
+                  : std::vector<std::size_t>{3072, 1536};
+    const std::size_t jb = opt.smoke ? 32 : 64;
+    for (const std::size_t n : heights) {
+      for (const bool fp32 : {false, true}) {
+        bool same = false;
+        rows.push_back(fp32 ? panel_copy_row<float>(n, jb, opt.reps, same)
+                            : panel_copy_row<double>(n, jb, opt.reps, same));
+        if (!same)
+          bit_mismatches.push_back(rows.back().op + " " + rows.back().shape);
+      }
+    }
+  }
+
   util::Table table({"op", "shape", "before", "after", "unit", "speedup"});
   std::vector<bench::JsonRecord> records;
   // Attribution header: which kernel the live side dispatched and on what
@@ -391,6 +468,11 @@ int main(int argc, char** argv) {
   else
     std::fprintf(stderr, "warning: could not write %s\n", opt.out.c_str());
 
+  for (const std::string& what : bit_mismatches) {
+    std::fprintf(stderr, "BUG: %s: the copied panel's bits differ\n",
+                 what.c_str());
+    return 1;
+  }
   // Full runs gate on the overhaul actually winning everywhere (median
   // per-pair ratio >= 1); the smoke shapes are too small to assert timing on
   // shared CI cores.

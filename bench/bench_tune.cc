@@ -5,20 +5,20 @@
 // Each op's search starts at the engine's built-in default choice (the
 // seeded rows at their seed), so "tuned" never loses to its own start
 // point; default and tuned come from the same cost oracle (the src/sim
-// model for native_lu, wall-clock for the measured ops). For the measured
-// ops "default" is the engine default timed once more after the op's
-// searches, warm, and shared by all of the op's rows: the search's own
-// start evaluation is its coldest run, and the seeded rows
-// (microkernel_model_seed, net_beff_seed) start at the seed, not at the
-// default, so neither is the default's cost. Nothing is persisted: the
-// engines keep their built-in defaults, and a knob only changes when a row
-// here justifies editing one.
+// model for native_lu, wall-clock for the measured ops). A single
+// wall-clock timing says little on a shared host, so after an op's
+// searches each measured row times the engine default and its tuned point
+// kTimedPairs times, interleaved (default, tuned, default, ...), and
+// reports each side's median, min and max GF/s; its speedup is the median
+// over the median. Nothing is persisted: the engines keep their built-in
+// defaults, and a knob only changes when a row here justifies editing one.
 //
 // Flags:
 //   --budget N   max distinct evaluations per (op, shape)   [default 48]
 //   --out PATH   JSON artifact                              [BENCH_tune.json]
 //   --seed N     restart-stream seed                        [1]
 //   --smoke      tiny shapes + small budget (the ctest gate)
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -125,6 +125,19 @@ double net_fabric_seconds(std::size_t crossover, std::size_t segment,
   return elapsed > 1e-9 ? elapsed : 1e-9;
 }
 
+/// Median, min and max of a set of timings, in seconds.
+struct Spread {
+  double median = 0, min = 0, max = 0;
+
+  static Spread of(std::vector<double> t) {
+    std::sort(t.begin(), t.end());
+    return {t[t.size() / 2], t.front(), t.back()};
+  }
+};
+
+/// Timed pairs per measured row.
+constexpr int kTimedPairs = 5;
+
 struct OpRow {
   std::string op;
   std::size_t shape_n = 0;
@@ -132,22 +145,37 @@ struct OpRow {
   double flops = 0;
   tune::SearchResult result{};
   std::string knobs{};
-  /// Cost of the engine's default configuration at this shape. Measured ops
-  /// re-time it once after their searches, warm, and every row of the op
-  /// reports that one value; 0 (the model-costed native_lu) means the
-  /// search's deterministic start cost.
-  double default_cost = 0;
+  /// Seconds of the engine default and of the tuned point. Measured rows
+  /// time both kTimedPairs times, interleaved (time_pairs); the
+  /// model-costed native_lu takes the search's deterministic start and best
+  /// costs.
+  Spread def{}, tuned{};
+  int timed_pairs = 0;  // 0: model-costed
 };
+
+/// Times `eval` at the space's default point and at the row's tuned point,
+/// interleaved, kTimedPairs times each.
+template <class Eval>
+void time_pairs(OpRow& row, const tune::SearchSpace& space, Eval& eval) {
+  const std::vector<long long> def = space.values_at(space.default_point());
+  std::vector<double> td, tt;
+  for (int i = 0; i < kTimedPairs; ++i) {
+    td.push_back(eval(def));
+    tt.push_back(eval(row.result.best));
+  }
+  row.def = Spread::of(td);
+  row.tuned = Spread::of(tt);
+  row.timed_pairs = kTimedPairs;
+}
 
 void report(const std::vector<OpRow>& rows, const Options& opt) {
   util::Table table(
       {"op", "N", "default GF/s", "tuned GF/s", "speedup", "evals", "knobs"});
   std::vector<bench::JsonRecord> records;
   for (const OpRow& r : rows) {
-    const double def =
-        r.flops /
-        (r.default_cost > 0 ? r.default_cost : r.result.start_cost) / 1e9;
-    const double tuned = r.flops / r.result.best_cost / 1e9;
+    const auto gflops = [&](double seconds) { return r.flops / seconds / 1e9; };
+    const double def = gflops(r.def.median);
+    const double tuned = gflops(r.tuned.median);
     table.add_row({r.op, util::Table::fmt(r.shape_n), util::Table::fmt(def, 1),
                    util::Table::fmt(tuned, 1),
                    util::Table::fmt(tuned / def, 3),
@@ -157,8 +185,13 @@ void report(const std::vector<OpRow>& rows, const Options& opt) {
                           .num("n", static_cast<double>(r.shape_n))
                           .str("bucket", r.bucket)
                           .num("default_gflops", def)
+                          .num("default_gflops_min", gflops(r.def.max))
+                          .num("default_gflops_max", gflops(r.def.min))
                           .num("tuned_gflops", tuned)
+                          .num("tuned_gflops_min", gflops(r.tuned.max))
+                          .num("tuned_gflops_max", gflops(r.tuned.min))
                           .num("speedup", tuned / def)
+                          .num("timed_pairs", r.timed_pairs)
                           .num("evaluations",
                                static_cast<double>(r.result.evaluations))
                           .num("budget", opt.budget)
@@ -209,6 +242,8 @@ int main(int argc, char** argv) {
           },
           base);
       row.knobs = knob_string(space, row.result.best);
+      row.def = Spread::of({row.result.start_cost});
+      row.tuned = Spread::of({row.result.best_cost});
       rows.push_back(std::move(row));
     }
   }
@@ -250,7 +285,7 @@ int main(int argc, char** argv) {
     };
     row.result = tune::search(space, eval, so);
     row.knobs = knob_string(space, row.result.best);
-    row.default_cost = eval(space.values_at(space.default_point()));
+    time_pairs(row, space, eval);
     rows.push_back(std::move(row));
   }
 
@@ -290,7 +325,7 @@ int main(int argc, char** argv) {
     };
     row.result = tune::search(space, eval, so);
     row.knobs = knob_string(space, row.result.best);
-    row.default_cost = eval(space.values_at(space.default_point()));
+    time_pairs(row, space, eval);
     rows.push_back(std::move(row));
   }
 
@@ -348,8 +383,8 @@ int main(int argc, char** argv) {
     mso.start = tune::spaces::microkernel_seed(space);
     mrow.result = tune::search(space, eval, mso);
     mrow.knobs = knob_string(space, mrow.result.best);
-    row.default_cost = mrow.default_cost =
-        eval(space.values_at(space.default_point()));
+    time_pairs(row, space, eval);
+    time_pairs(mrow, space, eval);
     microkernel_model_best = mrow.result.best_cost;
     microkernel_model_evals = mrow.result.evaluations;
     std::printf(
@@ -420,8 +455,8 @@ int main(int argc, char** argv) {
     sso.start = hpcc::seed_net_point(beff.probes, space);
     srow.result = tune::search(space, eval, sso);
     srow.knobs = knob_string(space, srow.result.best);
-    row.default_cost = srow.default_cost =
-        eval(space.values_at(space.default_point()));
+    time_pairs(row, space, eval);
+    time_pairs(srow, space, eval);
     net_seed_best = srow.result.best_cost;
     net_seed_evals = srow.result.evaluations;
     std::printf(

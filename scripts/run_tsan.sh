@@ -28,8 +28,14 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_blas" --gtest_filter='Pack*:PackCache*:Gemm*'
 "$BUILD_DIR/tests/test_panel"  # pool-parallel iamax, fused LASWP, blocked TRSM
 # LU stage engine clients: the look-ahead panel thread beside the offload
-# engine's update, DAG workers, the serve offload path.
+# engine's update, DAG workers, the serve offload path, and the pooled
+# malleable look-ahead (one participant factoring the next panel while the
+# others claim the rest's GEMM tiles).
 "$BUILD_DIR/tests/test_stage_engine"
+# The pooled look-ahead cases again, ten times over: the panel/tile
+# interleaving differs run to run, and so would a race.
+"$BUILD_DIR/tests/test_stage_engine" --gtest_filter='StageEngine.PooledLookahead*' \
+  --gtest_repeat=10
 # Registry dispatch under the pooled GEMM: magic-static table init racing
 # worker threads would show up here.
 "$BUILD_DIR/tests/test_microkernel" --gtest_filter='Microkernel*'

@@ -1,10 +1,12 @@
 // Differential test of the LU stage engine (blas/getrf.h): every client —
-// getrf_blocked serial and pooled, the DAG executor, the stage loop with the
-// offload-engine update under each look-ahead schedule, and the solve
-// server's offload path — must produce factors and pivots bitwise equal to
-// getrf_blocked. getrf_blocked itself and the hybrid driver's residual are
-// pinned to hashes captured before the drivers shared one engine, so the
-// oracle cannot drift along with its clients. fp64 carries one pin per
+// getrf_blocked pooled (the malleable look-ahead on 1, 2 and 3 workers),
+// the DAG executor, the stage loop with the offload-engine update under
+// each look-ahead schedule, and the solve server's offload path — must
+// produce factors and pivots bitwise equal to the serial getrf_blocked,
+// also on ragged shapes and when a later panel hits a zero pivot.
+// getrf_blocked itself and the hybrid driver's residual are pinned to
+// hashes captured before the drivers shared one engine, so the oracle
+// cannot drift along with its clients. fp64 carries one pin per
 // GEMM contract (DESIGN.md §12): the unfused pins are the original ones,
 // the fused pins were captured when the avx2/avx512 fp64 kernels started
 // accumulating through FMA. The stage_engine_tier_<tier> ctest entries
@@ -48,6 +50,24 @@ constexpr Shape kShapes[] = {
     {20, 64, 0x4d1bbecf442b51c3ull, 0x75cffd50736952bcull,
      0x8d95fa2ce0e84097ull},
 };
+
+/// Unpinned shapes for the pooled look-ahead, beside the pinned ones
+/// (n % nb = 22, 1, 0 and n < nb): n % nb = nb - 1; a rest of 3 columns
+/// beside the look-ahead panel, narrower than one tile column; n == nb;
+/// a last look-ahead panel of one column; n % nb = 0 over five panels.
+struct Dims {
+  std::size_t n, nb;
+};
+constexpr Dims kRaggedDims[] = {
+    {127, 32}, {67, 32}, {64, 64}, {33, 32}, {160, 32}};
+
+/// Every (n, nb) the differential tests run: the pinned shapes first.
+std::vector<Dims> all_shapes() {
+  std::vector<Dims> out;
+  for (const Shape& s : kShapes) out.push_back({s.n, s.nb});
+  out.insert(out.end(), std::begin(kRaggedDims), std::end(kRaggedDims));
+  return out;
+}
 
 /// Whether this run's fp64 GEMMs accumulate fused: the contract follows
 /// the dispatched tier (XPHI_MICROKERNEL=auto@<tier> in the tier entries).
@@ -104,6 +124,16 @@ util::Matrix<T> rank_one(std::size_t n) {
   return out;
 }
 
+/// The seeded matrix with column `col` cleared: elimination only subtracts
+/// multiples of zero from it, so its pivot is an exact zero in the panel
+/// that holds it, after every earlier panel factored.
+template <class T>
+util::Matrix<T> zero_column(std::size_t n, std::size_t col) {
+  util::Matrix<T> out = input<T>(n);
+  for (std::size_t r = 0; r < n; ++r) out(r, col) = T{};
+  return out;
+}
+
 template <class T, class Factor>
 Factors<T> run(util::Matrix<T> a, Factor&& factor) {
   Factors<T> f{std::move(a), {}, false};
@@ -144,6 +174,21 @@ std::vector<Client<T>> dag_clients() {
   };
 }
 
+/// getrf_blocked on a pool of kWorkers: the malleable look-ahead.
+template <class T, std::size_t kWorkers>
+bool pooled_client(util::MatrixView<T> a, std::span<std::size_t> ipiv,
+                   std::size_t nb) {
+  util::ThreadPool pool(kWorkers);
+  return getrf_blocked<T>(a, ipiv, nb, &pool);
+}
+
+template <class T>
+std::vector<Client<T>> pooled_clients() {
+  return {{"blocked ThreadPool(1)", pooled_client<T, 1>},
+          {"blocked ThreadPool(2)", pooled_client<T, 2>},
+          {"blocked ThreadPool(3)", pooled_client<T, 3>}};
+}
+
 /// The stage loop with the offload-engine update on 2 cards, under the
 /// look-ahead schedule kSubsets (0 = none).
 template <int kSubsets, bool kSteals>
@@ -161,12 +206,7 @@ bool offload_client(util::MatrixView<double> a, std::span<std::size_t> ipiv,
 
 std::vector<Client<double>> fp64_clients() {
   std::vector<Client<double>> out = dag_clients<double>();
-  out.push_back({"blocked ThreadPool(3)",
-                 [](util::MatrixView<double> a, std::span<std::size_t> p,
-                    std::size_t nb) {
-                   util::ThreadPool pool(3);
-                   return getrf_blocked<double>(a, p, nb, &pool);
-                 }});
+  for (const auto& c : pooled_clients<double>()) out.push_back(c);
   out.push_back({"offload none steals", offload_client<0, true>});
   out.push_back({"offload none", offload_client<0, false>});
   out.push_back({"offload basic steals", offload_client<1, true>});
@@ -176,12 +216,37 @@ std::vector<Client<double>> fp64_clients() {
   return out;
 }
 
+/// The serial oracle on `a`.
+template <class T>
+Factors<T> blocked(util::Matrix<T> a, std::size_t nb) {
+  return run<T>(std::move(a), [&](util::MatrixView<T> v,
+                                  std::span<std::size_t> p) {
+    return getrf_blocked<T>(v, p, nb);
+  });
+}
+
 template <class T>
 Factors<T> blocked(const Shape& s) {
-  return run<T>(input<T>(s.n), [&](util::MatrixView<T> a,
-                                   std::span<std::size_t> p) {
-    return getrf_blocked<T>(a, p, s.nb);
-  });
+  return blocked<T>(input<T>(s.n), s.nb);
+}
+
+/// Every pooled client of one precision bitwise equal to the serial oracle
+/// on every shape.
+template <class T>
+void expect_pooled_bitwise_serial() {
+  for (const Dims& s : all_shapes()) {
+    SCOPED_TRACE(testing::Message() << s.n << "x" << s.nb);
+    const auto want = blocked<T>(input<T>(s.n), s.nb);
+    ASSERT_TRUE(want.ok);
+    for (const auto& client : pooled_clients<T>()) {
+      const auto got =
+          run<T>(input<T>(s.n),
+                 [&](util::MatrixView<T> a, std::span<std::size_t> p) {
+                   return client.factor(a, p, s.nb);
+                 });
+      expect_bitwise(want, got, client.name);
+    }
+  }
 }
 
 /// Skips every case when an XPHI_MICROKERNEL pin names a tier this host
@@ -209,9 +274,9 @@ TEST_F(StageEngine, BlockedOracleMatchesPinnedHashes) {
 }
 
 TEST_F(StageEngine, Fp64ClientsBitwiseEqualBlocked) {
-  for (const Shape& s : kShapes) {
+  for (const Dims& s : all_shapes()) {
     SCOPED_TRACE(testing::Message() << s.n << "x" << s.nb);
-    const auto want = blocked<double>(s);
+    const auto want = blocked<double>(input<double>(s.n), s.nb);
     for (const auto& client : fp64_clients()) {
       const auto got = run<double>(
           input<double>(s.n),
@@ -235,6 +300,75 @@ TEST_F(StageEngine, Fp32DagBitwiseEqualBlocked) {
           });
       expect_bitwise(want, got, client.name);
     }
+  }
+}
+
+TEST_F(StageEngine, PooledLookaheadFp64BitwiseEqualSerial) {
+  expect_pooled_bitwise_serial<double>();
+}
+
+TEST_F(StageEngine, PooledLookaheadFp32BitwiseEqualSerial) {
+  expect_pooled_bitwise_serial<float>();
+}
+
+/// A zero pivot in the second and in the fourth panel (n=150, nb=32): the
+/// look-ahead participant fails while the others claim the rest's tiles.
+/// Every pooled client returns false without throwing, leaving the serial
+/// oracle's factors and pivots bit for bit; every other client returns
+/// false too.
+template <class T>
+void expect_later_panel_fails(const std::vector<Client<T>>& others) {
+  const std::size_t n = 150, nb = 32;
+  for (const std::size_t col : {nb + 5, 3 * nb + 1}) {
+    SCOPED_TRACE(testing::Message() << "zero column " << col);
+    auto want = blocked<T>(zero_column<T>(n, col), nb);
+    ASSERT_FALSE(want.ok);
+    want.ok = true;  // expect_bitwise compares successful runs
+    for (const auto& client : pooled_clients<T>()) {
+      Factors<T> got;
+      EXPECT_NO_THROW(
+          got = run<T>(zero_column<T>(n, col),
+                       [&](util::MatrixView<T> a, std::span<std::size_t> p) {
+                         return client.factor(a, p, nb);
+                       }));
+      EXPECT_FALSE(got.ok) << client.name;
+      got.ok = true;
+      expect_bitwise(want, got, client.name);
+    }
+    for (const auto& client : others) {
+      EXPECT_NO_THROW(EXPECT_FALSE(
+          run<T>(zero_column<T>(n, col),
+                 [&](util::MatrixView<T> a, std::span<std::size_t> p) {
+                   return client.factor(a, p, nb);
+                 })
+              .ok))
+          << client.name;
+    }
+  }
+}
+
+TEST_F(StageEngine, PooledLookaheadFailsInLaterPanel) {
+  std::vector<Client<double>> others = dag_clients<double>();
+  for (const auto& c : fp64_clients())
+    if (std::strncmp(c.name, "offload", 7) == 0) others.push_back(c);
+  expect_later_panel_fails<double>(others);
+  expect_later_panel_fails<float>(dag_clients<float>());
+}
+
+TEST_F(StageEngine, PooledLookaheadStatsCountPanels) {
+  for (const Dims& s : all_shapes()) {
+    SCOPED_TRACE(testing::Message() << s.n << "x" << s.nb);
+    auto a = input<double>(s.n);
+    std::vector<std::size_t> ipiv(s.n);
+    util::ThreadPool pool(2);
+    PanelOptions panel;
+    panel.pool = &pool;
+    StageLoopStats st;
+    ASSERT_TRUE(getrf_stages<double>(a.view(), ipiv, s.nb, panel,
+                                     GemmUpdate<double>(), 0, &st));
+    const std::size_t stages = (s.n + s.nb - 1) / s.nb;
+    EXPECT_EQ(st.lookahead_panels, stages - 1);
+    EXPECT_EQ(st.column_updates, 0u);
   }
 }
 
