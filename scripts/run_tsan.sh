@@ -27,22 +27,28 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR/tests/test_util" --gtest_filter='ThreadPool*:SpinBarrier*'
 "$BUILD_DIR/tests/test_blas" --gtest_filter='Pack*:PackCache*:Gemm*'
 "$BUILD_DIR/tests/test_panel"  # pool-parallel iamax, fused LASWP, blocked TRSM
-# LU stage engine clients: the look-ahead panel thread beside the offload
-# engine's update, DAG workers, the serve offload path, and the pooled
-# malleable look-ahead (one participant factoring the next panel while the
-# others claim the rest's GEMM tiles).
+# LU stage engine clients: the look-ahead on the offload engine's pool (one
+# card participant factoring the next panel before it joins its card), DAG
+# workers, the serve offload path, and the pooled malleable look-ahead (one
+# participant factoring the next panel while the others claim the rest's
+# GEMM tiles).
 "$BUILD_DIR/tests/test_stage_engine"
-# The pooled look-ahead cases again, ten times over: the panel/tile
-# interleaving differs run to run, and so would a race.
-"$BUILD_DIR/tests/test_stage_engine" --gtest_filter='StageEngine.PooledLookahead*' \
+# The look-ahead cases again, ten times over: the panel/tile interleaving
+# differs run to run, and so would a race.
+"$BUILD_DIR/tests/test_stage_engine" \
+  --gtest_filter='StageEngine.PooledLookahead*:StageEngine.OffloadLookahead*:StageEngine.Fp64Clients*' \
   --gtest_repeat=10
 # Registry dispatch under the pooled GEMM: magic-static table init racing
 # worker threads would show up here.
 "$BUILD_DIR/tests/test_microkernel" --gtest_filter='Microkernel*'
 "$BUILD_DIR/tests/test_lu" --gtest_filter='FunctionalDagLu*:DagLuFactor*'
 # The resident offload engine: its pool serves every stage of a hybrid
-# factorization, beside the look-ahead panel's std::async thread.
+# factorization and runs its panels, swaps and TRSM, and one of its card
+# participants factors the look-ahead panel. Run again ten times over for
+# the same reason as the stage engine's look-ahead cases.
 "$BUILD_DIR/tests/test_core" --gtest_filter='OffloadFunctional*:HybridFunctional*'
+"$BUILD_DIR/tests/test_core" --gtest_filter='HybridFunctional*:OffloadFunctional*' \
+  --gtest_repeat=10
 "$BUILD_DIR/tests/test_net"  # messaging layer + coroutine scheduler
 # Engine conformance: seeded random traffic, both collective families and
 # the 1024-rank bounded-pool run, all on coroutine stacks (the build maps

@@ -2,20 +2,22 @@
 // panel [DL]i, swap rows, forward-solve the U block, update the trailing
 // matrix. The paper's look-ahead schemes (Figures 5c and 8) only reorder
 // these stages, so every single-node driver is a client that picks a
-// trailing-update backend and a schedule:
+// trailing-update backend, and getrf_stages runs one of two schedules:
+// none, or a look-ahead that updates the rest beside the next panel.
 //   - getrf_blocked (below): the stage loop with the gemm_tiled update
 //     (GemmUpdate). Serial, it runs no look-ahead and is the functional
 //     oracle the other clients are tested against; on a pool it runs the
-//     malleable look-ahead (getrf_stages), one participant factoring the
-//     next panel while the others claim the stage's GEMM tiles;
+//     malleable look-ahead, one participant factoring the next panel while
+//     the others claim the stage's GEMM tiles;
 //   - lu::dag_lu_factor_t: DAG tasks calling factor_stage_panel and
 //     update_stage_columns one panel-column at a time with a packed
 //     PackCache update, and swap_stage_left in its post-pass;
-//   - core::run_functional_hybrid_hpl and the serve worker's offload path:
-//     the stage loop with the offload-engine update (core::OffloadUpdate)
-//     under a Figure 8 look-ahead policy.
-// hpl::run_distributed_hpl schedules its rank stage by the same
-// look-ahead subset count; its row swaps and U blocks are messages.
+//   - core::run_functional_hybrid_hpl: the stage loop with the
+//     offload-engine update (core::OffloadUpdate) on the engine's own pool,
+//     where one card participant factors the next panel before it joins its
+//     card; the serve worker's offload path runs it with no look-ahead.
+// hpl::run_distributed_hpl schedules its rank stage by a look-ahead subset
+// count of its own; its row swaps and U blocks are messages.
 //
 // The kernels are the blocked critical-path ones from lu_kernels.h: the
 // recursive panel factorization, one SwapPlan per stage and column range
@@ -30,7 +32,7 @@
 #include <concepts>
 #include <cstring>
 #include <exception>
-#include <future>
+#include <functional>
 #include <span>
 #include <type_traits>
 
@@ -136,7 +138,7 @@ class GemmUpdate {
 };
 
 /// An update whose product can be claimed tile by tile (GemmUpdate): the
-/// pooled stage loop's look-ahead needs one.
+/// look-ahead claims its tiles on the stage loop's pool.
 template <class U, class T>
 concept ClaimableUpdate =
     requires(const U& u, const PackedA<T>& l21, const PackedB<T>& ub,
@@ -145,10 +147,18 @@ concept ClaimableUpdate =
       u.run_tile(l21, ub, a22, t);
     };
 
+/// An update that runs beside a task (core::OffloadUpdate): u(l21, ub, a22,
+/// task) computes a22 -= l21 * ub while one of its participants first runs
+/// task(), and rethrows the task's throw after the join.
+template <class U, class T>
+concept BesideUpdate =
+    requires(const U& u, util::MatrixView<const T> l21,
+             util::MatrixView<const T> ub, util::MatrixView<T> a22,
+             const std::function<void()>& task) { u(l21, ub, a22, task); };
+
 /// What a stage loop did, for drivers that report it.
 struct StageLoopStats {
-  std::size_t lookahead_panels = 0;  // panels factored concurrently
-  std::size_t column_updates = 0;    // column subsets updated under look-ahead
+  std::size_t lookahead_panels = 0;  // panels factored beside an update
 };
 
 namespace detail {
@@ -189,73 +199,85 @@ bool factor_panel_copy(util::MatrixView<T> a, std::span<std::size_t> ipiv,
   return ok;
 }
 
-/// One stage of the pooled look-ahead (see getrf_stages): stage i0's swap
-/// and TRSM over every trailing column, L21 and U packed once, the next
-/// panel's columns updated, then one dispatch in which the caller factors
-/// the next panel (trail0 = i0 + pw, width next_pw) on a contiguous copy
-/// and joins, while the other participants claim the rest's GEMM tiles.
+/// One stage of the look-ahead (see getrf_stages): stage i0's swap and
+/// TRSM over every trailing column, the next panel's columns updated, then
+/// the rest updated beside the next panel (trail0 = i0 + pw, width
+/// next_pw), which one participant factors serially on a contiguous copy.
+/// A ClaimableUpdate packs L21 and U once and runs the next panel's tiles
+/// pooled; then in one dispatch the caller factors the panel and joins
+/// while the other participants claim the rest's GEMM tiles. A
+/// BesideUpdate runs both updates itself, the second beside the panel.
 /// Returns whether the next panel factored; the rest is updated either way.
 template <class T, class Update>
 bool lookahead_stage(util::MatrixView<T> a, std::span<std::size_t> ipiv,
                      std::size_t i0, std::size_t pw, std::size_t next_pw,
                      const PanelOptions& panel, const Update& update,
                      LookaheadBuffers<T>& buf) {
-  util::ThreadPool& pool = *panel.pool;
   const std::size_t n = a.rows();
   const std::size_t trail0 = i0 + pw;
   const std::size_t rest0 = trail0 + next_pw;
   const std::size_t m = n - trail0;
   update_stage_columns<T>(a, ipiv, i0, pw, trail0, m, panel,
                           [](auto, auto, auto) {});
-  const TileGeometry g = update.tile();
-  const std::size_t row_tiles = buf.l21.prepare(
-      util::MatrixView<const T>(a.block(trail0, i0, m, pw)), g.rows);
-  const std::size_t next_tiles = buf.u_next.prepare(
-      util::MatrixView<const T>(a.block(i0, trail0, pw, next_pw)), g.cols);
-  const std::size_t rest_tiles = buf.u_rest.prepare(
-      util::MatrixView<const T>(a.block(i0, rest0, pw, n - rest0)), g.cols);
-  pool.parallel_for(row_tiles + next_tiles + rest_tiles, [&](std::size_t t) {
-    if (t < row_tiles) {
-      buf.l21.pack_tile(t);
-    } else if (t < row_tiles + next_tiles) {
-      buf.u_next.pack_tile(t - row_tiles);
-    } else {
-      buf.u_rest.pack_tile(t - row_tiles - next_tiles);
-    }
-  });
-  const auto next = a.block(trail0, trail0, m, next_pw);
-  pool.parallel_for(row_tiles * next_tiles, [&](std::size_t t) {
-    update.run_tile(buf.l21, buf.u_next, next, t);
-  });
-
-  const auto rest = a.block(trail0, rest0, m, n - rest0);
-  const std::size_t tasks = row_tiles * rest_tiles;
-  const std::size_t grain =
-      std::max<std::size_t>(1, tasks / (4 * (pool.size() + 1)));
-  std::atomic<std::size_t> claimed{0};
   bool factored = false;
-  // The panel allocates; a throw must not leave the dispatch while the
-  // workers still use this frame, so it is forwarded after the join.
-  std::exception_ptr panel_error;
-  pool.run_with_caller([&](std::size_t participant) {
-    if (participant == pool.size()) {
-      try {
-        factored = factor_panel_copy<T>(a, ipiv, trail0, next_pw, panel,
-                                        buf.panel);
-      } catch (...) {
-        panel_error = std::current_exception();
+  const auto factor_next = [&] {
+    factored =
+        factor_panel_copy<T>(a, ipiv, trail0, next_pw, panel, buf.panel);
+  };
+  const util::MatrixView<const T> l21(a.block(trail0, i0, m, pw));
+  const util::MatrixView<const T> u_next(a.block(i0, trail0, pw, next_pw));
+  const util::MatrixView<const T> u_rest(a.block(i0, rest0, pw, n - rest0));
+  const auto next = a.block(trail0, trail0, m, next_pw);
+  const auto rest = a.block(trail0, rest0, m, n - rest0);
+  if constexpr (!ClaimableUpdate<Update, T>) {
+    update(l21, u_next, next);
+    update(l21, u_rest, rest, factor_next);
+    return factored;
+  } else {
+    util::ThreadPool& pool = *panel.pool;
+    const TileGeometry g = update.tile();
+    const std::size_t row_tiles = buf.l21.prepare(l21, g.rows);
+    const std::size_t next_tiles = buf.u_next.prepare(u_next, g.cols);
+    const std::size_t rest_tiles = buf.u_rest.prepare(u_rest, g.cols);
+    pool.parallel_for(row_tiles + next_tiles + rest_tiles, [&](std::size_t t) {
+      if (t < row_tiles) {
+        buf.l21.pack_tile(t);
+      } else if (t < row_tiles + next_tiles) {
+        buf.u_next.pack_tile(t - row_tiles);
+      } else {
+        buf.u_rest.pack_tile(t - row_tiles - next_tiles);
       }
-    }
-    for (;;) {
-      const std::size_t lo =
-          claimed.fetch_add(grain, std::memory_order_relaxed);
-      if (lo >= tasks) return;
-      for (std::size_t t = lo; t < std::min(tasks, lo + grain); ++t)
-        update.run_tile(buf.l21, buf.u_rest, rest, t);
-    }
-  });
-  if (panel_error) std::rethrow_exception(panel_error);
-  return factored;
+    });
+    pool.parallel_for(row_tiles * next_tiles, [&](std::size_t t) {
+      update.run_tile(buf.l21, buf.u_next, next, t);
+    });
+
+    const std::size_t tasks = row_tiles * rest_tiles;
+    const std::size_t grain =
+        std::max<std::size_t>(1, tasks / (4 * (pool.size() + 1)));
+    std::atomic<std::size_t> claimed{0};
+    // The panel allocates; a throw must not leave the dispatch while the
+    // workers still use this frame, so it is forwarded after the join.
+    std::exception_ptr panel_error;
+    pool.run_with_caller([&](std::size_t participant) {
+      if (participant == pool.size()) {
+        try {
+          factor_next();
+        } catch (...) {
+          panel_error = std::current_exception();
+        }
+      }
+      for (;;) {
+        const std::size_t lo =
+            claimed.fetch_add(grain, std::memory_order_relaxed);
+        if (lo >= tasks) return;
+        for (std::size_t t = lo; t < std::min(tasks, lo + grain); ++t)
+          update.run_tile(buf.l21, buf.u_rest, rest, t);
+      }
+    });
+    if (panel_error) std::rethrow_exception(panel_error);
+    return factored;
+  }
 }
 
 }  // namespace detail
@@ -267,32 +289,24 @@ bool lookahead_stage(util::MatrixView<T> a, std::span<std::size_t> ipiv,
 /// swaps and TRSM run on.
 ///
 /// The schedule (paper Figure 8):
-///   - no pool, `lookahead_subsets` 0: each stage updates its whole
-///     trailing matrix, then the next panel is factored;
-///   - no pool, k > 0: each stage updates the next panel's columns first,
-///     factors that panel on a concurrent thread, and meanwhile updates the
-///     remaining columns in k subsets;
-///   - a pool and a ClaimableUpdate: the malleable look-ahead on that one
-///     pool (the paper's §IV dynamic look-ahead with the panel team
-///     regrouped into the update). The first panel, the swaps, the TRSM,
-///     the packing and the next panel's columns run pooled; then in one
-///     dispatch the caller factors the next panel serially on a contiguous
-///     copy and joins the other participants, which claim the rest's GEMM
-///     tiles in parallel_for-sized grains (detail::lookahead_stage).
-///     `lookahead_subsets` must be 0.
-/// A pool with any other update runs the first schedule on pooled kernels.
-/// Every schedule gives the same bits.
+///   - no pool, or an update that is neither a ClaimableUpdate nor a
+///     BesideUpdate: each stage updates its whole trailing matrix, then the
+///     next panel is factored (on pooled kernels when there is a pool);
+///   - a pool and such an update: the look-ahead on that one pool (the
+///     paper's §IV dynamic look-ahead with the panel team regrouped into
+///     the update). The first panel, the swaps, the TRSM and the next
+///     panel's columns run first; then one participant factors the next
+///     panel serially on a contiguous copy while the others update the rest
+///     (detail::lookahead_stage). An offload update's pool is its engine's.
+/// Both schedules give the same bits.
 template <class T, class Update>
 bool getrf_stages(util::MatrixView<T> a, std::span<std::size_t> ipiv,
                   std::size_t nb, const PanelOptions& panel, Update&& update,
-                  int lookahead_subsets = 0, StageLoopStats* stats = nullptr) {
+                  StageLoopStats* stats = nullptr) {
   const std::size_t n = a.rows();
   assert(a.cols() == n && ipiv.size() >= n);
-  assert(lookahead_subsets == 0 || panel.pool == nullptr);
-  constexpr bool kClaimable =
-      ClaimableUpdate<std::remove_cvref_t<Update>, T>;
-  StageLoopStats local;
-  StageLoopStats& st = stats != nullptr ? *stats : local;
+  using U = std::remove_cvref_t<Update>;
+  constexpr bool kLookahead = ClaimableUpdate<U, T> || BesideUpdate<U, T>;
   detail::LookaheadBuffers<T> buffers;
   if (n == 0) return true;
   if (!factor_stage_panel<T>(a, ipiv, 0, std::min(nb, n), panel)) return false;
@@ -302,38 +316,18 @@ bool getrf_stages(util::MatrixView<T> a, std::span<std::size_t> ipiv,
     const std::size_t trail0 = i0 + pw;
     if (trail0 >= n) break;
     const std::size_t next_pw = std::min(nb, n - trail0);
-    if constexpr (kClaimable) {
+    if constexpr (kLookahead) {
       if (panel.pool != nullptr) {
         if (!detail::lookahead_stage<T>(a, ipiv, i0, pw, next_pw, panel,
                                         update, buffers))
           return false;
-        ++st.lookahead_panels;
+        if (stats != nullptr) ++stats->lookahead_panels;
         continue;
       }
     }
-    const auto columns = [&](std::size_t c0, std::size_t ncols) {
-      update_stage_columns<T>(a, ipiv, i0, pw, c0, ncols, panel, update);
-    };
-    if (lookahead_subsets == 0) {
-      columns(trail0, n - trail0);
-      if (!factor_stage_panel<T>(a, ipiv, trail0, next_pw, panel))
-        return false;
-      continue;
-    }
-    columns(trail0, next_pw);
-    ++st.column_updates;
-    auto next_panel = std::async(std::launch::async, [&] {
-      return factor_stage_panel<T>(a, ipiv, trail0, next_pw, panel);
-    });
-    const std::size_t rest0 = trail0 + next_pw;
-    const std::size_t chunk = std::max<std::size_t>(
-        1, (n - rest0 + lookahead_subsets - 1) / lookahead_subsets);
-    for (std::size_t c0 = rest0; c0 < n; c0 += chunk) {
-      columns(c0, std::min(chunk, n - c0));
-      ++st.column_updates;
-    }
-    if (!next_panel.get()) return false;
-    ++st.lookahead_panels;
+    update_stage_columns<T>(a, ipiv, i0, pw, trail0, n - trail0, panel,
+                            update);
+    if (!factor_stage_panel<T>(a, ipiv, trail0, next_pw, panel)) return false;
   }
   return true;
 }

@@ -1,6 +1,5 @@
 #include "core/hybrid_functional.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "blas/getrf.h"
@@ -20,20 +19,24 @@ HybridFunctionalResult run_functional_hybrid_hpl(
     for (std::size_t c = 0; c < n; ++c) orig(r, c) = a(r, c);
   std::vector<std::size_t> ipiv(n);
 
-  // The schemes differ only in the stage loop's look-ahead policy: basic is
-  // the pipelined schedule with one subset after the next panel's columns.
-  int subsets = 0;
-  if (cfg.scheme == FunctionalScheme::kBasic) subsets = 1;
-  if (cfg.scheme == FunctionalScheme::kPipelined)
-    subsets = std::max(1, cfg.pipeline_subsets);
-  // One engine serves every trailing update of the factorization.
+  // One engine serves every trailing update of the factorization, and its
+  // pool runs the host side: the panels, the swaps and the TRSM.
   OffloadEngine engine(cfg.offload);
+  blas::PanelOptions panel;
+  panel.pool = &engine.pool();
+  const OffloadUpdate update{engine};
+  // The schemes differ only in the stage loop's schedule: without
+  // look-ahead the update goes in as a plain callable, which getrf_stages
+  // runs one whole stage at a time.
   blas::StageLoopStats stats;
-  const bool factored = blas::getrf_stages<double>(
-      a.view(), ipiv, cfg.nb, {}, OffloadUpdate{engine}, subsets, &stats);
+  const bool factored =
+      cfg.scheme == FunctionalScheme::kBasic
+          ? blas::getrf_stages<double>(a.view(), ipiv, cfg.nb, panel, update,
+                                       &stats)
+          : blas::getrf_stages<double>(
+                a.view(), ipiv, cfg.nb, panel,
+                [&](auto l21, auto u, auto a22) { update(l21, u, a22); });
   res.lookahead_panels = stats.lookahead_panels;
-  if (cfg.scheme == FunctionalScheme::kPipelined)
-    res.pipelined_subsets = stats.column_updates;
   if (!factored) return res;
 
   // Solve and check.

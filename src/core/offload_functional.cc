@@ -7,6 +7,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -541,20 +542,39 @@ std::size_t OffloadEngine::workers() const noexcept {
   return resident_->pool.size();
 }
 
+util::ThreadPool& OffloadEngine::pool() noexcept { return resident_->pool; }
+
 FunctionalOffloadStats OffloadEngine::gemm(double alpha,
                                            MatrixView<const double> a,
                                            MatrixView<const double> b,
                                            MatrixView<double> c) {
+  return gemm(alpha, a, b, c, nullptr);
+}
+
+FunctionalOffloadStats OffloadEngine::gemm(
+    double alpha, MatrixView<const double> a, MatrixView<const double> b,
+    MatrixView<double> c, const std::function<void()>& beside) {
   Call call(alpha, a, b, c, config_, resolve_knobs(config_));
   Resident& res = *resident_;
   const std::size_t workers = res.pool.size();
+  // A throw must not leave the dispatch while the other participants still
+  // use `call`, so it is forwarded after the join.
+  std::exception_ptr beside_error;
   res.pool.run_with_caller([&](std::size_t p) {
     if (p == workers) {
       call.host();
-    } else {
-      call.worker(p, workers, res.spares[p]);
+      return;
     }
+    if (p == 0 && beside) {
+      try {
+        beside();
+      } catch (...) {
+        beside_error = std::current_exception();
+      }
+    }
+    call.worker(p, workers, res.spares[p]);
   });
+  if (beside_error) std::rethrow_exception(beside_error);
   return call.stats();
 }
 

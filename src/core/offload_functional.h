@@ -15,6 +15,9 @@
 //     queued back into C, so every card participant shares the fold;
 //   - with host_steals, one worker first steals tiles from the opposite
 //     corner and computes them in place, then joins its card.
+// A call may also hand one card participant a task of its own to run first
+// (the hybrid LU's look-ahead panel, blas/getrf.h); the participant then
+// joins its card, and the other participants keep serving meanwhile.
 // Tests validate the result against the reference GEMM, that every tile is
 // processed exactly once, and that partial-tile merging covers ragged
 // shapes.
@@ -33,6 +36,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 
 #include "tune/knobs.h"
@@ -40,6 +44,10 @@
 
 namespace xphi::fault {
 class Injector;
+}
+
+namespace xphi::util {
+class ThreadPool;
 }
 
 namespace xphi::core {
@@ -102,8 +110,20 @@ class OffloadEngine {
                               util::MatrixView<const double> b,
                               util::MatrixView<double> c);
 
+  /// The same product while worker 0, a card participant, first runs
+  /// `beside` and then joins its card. `beside` must touch neither A, B
+  /// nor C. A throw from it is rethrown once every participant has joined.
+  FunctionalOffloadStats gemm(double alpha, util::MatrixView<const double> a,
+                              util::MatrixView<const double> b,
+                              util::MatrixView<double> c,
+                              const std::function<void()>& beside);
+
   /// Pool workers started by this engine (the caller is not counted).
   std::size_t workers() const noexcept;
+
+  /// The engine's resident pool. Between calls the caller may dispatch its
+  /// own work on it (the hybrid LU's panel, swaps and TRSM).
+  util::ThreadPool& pool() noexcept;
 
  private:
   struct Resident;
@@ -126,13 +146,20 @@ FunctionalOffloadStats offload_gemm_functional(
 
 /// The LU stage engine's trailing update (blas/getrf.h) through a resident
 /// offload engine: a22 -= l21 * u. Every stage of a factorization reuses
-/// the same engine.
+/// the same engine. The four-argument form is the look-ahead's: the update
+/// runs beside a panel task (getrf_stages, on engine.pool()).
 struct OffloadUpdate {
   OffloadEngine& engine;
   void operator()(util::MatrixView<const double> l21,
                   util::MatrixView<const double> u,
                   util::MatrixView<double> a22) const {
     engine.gemm(-1.0, l21, u, a22);
+  }
+  void operator()(util::MatrixView<const double> l21,
+                  util::MatrixView<const double> u,
+                  util::MatrixView<double> a22,
+                  const std::function<void()>& beside) const {
+    engine.gemm(-1.0, l21, u, a22, beside);
   }
 };
 

@@ -1,5 +1,6 @@
 #include "hpl/mixed.h"
 
+#include <algorithm>
 #include <chrono>
 #include <limits>
 
@@ -91,6 +92,30 @@ MixedSolveResult refine_mixed(MatrixView<const double> a,
   return res;
 }
 
+MixedSolveResult refine_mixed_or_fp64(MatrixView<const double> a,
+                                      std::span<const double> b,
+                                      const MixedFactors& factors,
+                                      const MixedOptions& options) {
+  MixedSolveResult res = refine_mixed(a, b, factors, options);
+  if (res.ok) return res;
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::size_t n = a.rows();
+  Matrix<double> lu(n, n);
+  for (std::size_t r = 0; r < n; ++r)
+    std::copy_n(a.row(r), n, lu.data() + r * lu.ld());
+  std::vector<std::size_t> ipiv(n);
+  if (blas::getrf_blocked<double>(lu.view(), ipiv, options.nb,
+                                  options.pool)) {
+    res.x.assign(b.begin(), b.end());
+    blas::lu_solve_vector<double>(lu.view(), ipiv, res.x);
+    res.residual = blas::hpl_residual<double>(a, res.x, b);
+    res.trace.push_back(res.residual);
+    res.ok = res.residual < blas::kHplResidualThreshold;
+  }
+  res.refine_seconds += seconds_since(t0);
+  return res;
+}
+
 MixedSolveResult solve_mixed(MatrixView<const double> a,
                              std::span<const double> b,
                              const MixedOptions& options) {
@@ -103,7 +128,7 @@ MixedSolveResult solve_mixed(MatrixView<const double> a,
     res.factor_seconds = factor_seconds;
     return res;
   }
-  MixedSolveResult res = refine_mixed(a, b, factors, options);
+  MixedSolveResult res = refine_mixed_or_fp64(a, b, factors, options);
   res.factor_seconds = factor_seconds;
   return res;
 }

@@ -15,7 +15,9 @@
 // fp64's). Every step is fixed-order scalar arithmetic, so the whole solve
 // is bitwise-reproducible: the refinement trace (the scaled residual before
 // each correction) is part of the result and asserted identical under fault
-// injection.
+// injection. Where the refinement stalls at its cap, solve_mixed and the
+// solve server do what LAPACK's DSGESV does: factor A in fp64 and solve
+// (refine_mixed_or_fp64).
 //
 // The distributed twin lives in hpl/distributed.cc (Precision::kMixed); the
 // solve server factors through the same path to halve its cache bytes.
@@ -82,8 +84,19 @@ MixedSolveResult refine_mixed(util::MatrixView<const double> a,
                               const MixedFactors& factors,
                               const MixedOptions& options = {});
 
-/// End-to-end mixed solve of A x = b (factor_mixed + refine_mixed), with the
-/// stage timings split out for the bench emitter.
+/// refine_mixed, and where it stalls at the cap, LAPACK DSGESV's way out: A
+/// is factored in fp64 (getrf_blocked with options.nb and options.pool) and
+/// the system solved through those factors. The fp64 residual then gates
+/// `ok` and ends the trace, so a fallback shows as a trace two entries
+/// longer than `iterations`, which stays the refinement's count; its time
+/// goes to refine_seconds.
+MixedSolveResult refine_mixed_or_fp64(util::MatrixView<const double> a,
+                                      std::span<const double> b,
+                                      const MixedFactors& factors,
+                                      const MixedOptions& options = {});
+
+/// End-to-end mixed solve of A x = b (factor_mixed + refine_mixed_or_fp64),
+/// with the stage timings split out for the bench emitter.
 MixedSolveResult solve_mixed(util::MatrixView<const double> a,
                              std::span<const double> b,
                              const MixedOptions& options = {});

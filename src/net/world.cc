@@ -109,12 +109,21 @@ void World::run(const std::function<void(Comm&)>& fn) {
   options.stack_bytes = stack_bytes_;
   Sched sched(ranks_, options);
   sched_ = &sched;
+  failures_ = std::make_unique<Failure[]>(static_cast<std::size_t>(ranks_));
   // Rank r is task r. Per-rank exceptions (receive-timeout and deadlock
   // diagnostics included) are captured by the scheduler and the first one —
   // by rank index — rethrown once every rank has finished.
   sched.run([this, &fn](int r) {
     Comm comm(this, r);
-    fn(comm);
+    try {
+      fn(comm);
+    } catch (const std::exception& e) {
+      note_failure(r, e.what());
+      throw;
+    } catch (...) {
+      note_failure(r, "unknown exception");
+      throw;
+    }
   });
   sched_ = nullptr;
   for (const auto& e : sched.errors())
@@ -181,7 +190,8 @@ void World::deliver(int src, int dst, int tag, Payload data) {
                      dst, mailbox_soft_cap_, box.depth, src, tag);
       }
     }
-    wake_dst = box.has_waiter && box.waiter_src == src && box.waiter_tag == tag;
+    wake_dst = box.waiter_src.load(std::memory_order_relaxed) == src &&
+               box.waiter_tag == tag;
   }
   // The wake is race-free even if dst is mid-way into parking: the scheduler
   // latches it and the park returns immediately.
@@ -212,6 +222,28 @@ void World::throw_blocked_diagnostic(int dst, int src, int tag,
   throw std::runtime_error(msg);
 }
 
+/// Marks `rank` failed and wakes every rank parked on a receive from it.
+/// The failed store and collect's waiter_src store are both sequentially
+/// consistent: either the receiver sees the failure before it parks, or
+/// this scan sees the receiver.
+void World::note_failure(int rank, std::string error) {
+  Failure& f = failures_[static_cast<std::size_t>(rank)];
+  f.error = std::move(error);
+  f.failed.store(true);
+  for (int dst = 0; dst < ranks_; ++dst)
+    if (mailboxes_[dst]->waiter_src.load() == rank) sched_->wake(dst);
+}
+
+void World::throw_failed_source_diagnostic(int dst, int src, int tag) {
+  char msg[128];
+  std::snprintf(msg, sizeof msg,
+                "net: rank %d receive on (src=%d, tag=%d) cannot complete: "
+                "rank %d threw with nothing queued for it: ",
+                dst, src, tag, src);
+  throw std::runtime_error(msg +
+                           failures_[static_cast<std::size_t>(src)].error);
+}
+
 Payload World::collect(int dst, int src, int tag) {
   Mailbox& box = *mailboxes_[dst];
   const auto t0 = Clock::now();
@@ -233,25 +265,32 @@ Payload World::collect(int dst, int src, int tag) {
       }
       // Nothing queued: advertise what we are blocked on (only the owner
       // rank ever receives from this mailbox, so one waiter slot suffices)
-      // and park. A delivery that lands after the unlock still finds the
-      // waiter and its wake is latched by the scheduler.
-      box.has_waiter = true;
-      box.waiter_src = src;
+      // and park. A delivery or a failure of src that lands after the
+      // unlock still finds the waiter and its wake is latched by the
+      // scheduler.
       box.waiter_tag = tag;
+      box.waiter_src.store(src);
+      if (failures_[static_cast<std::size_t>(src)].failed.load()) {
+        box.waiter_src.store(-1, std::memory_order_relaxed);
+        lk.unlock();
+        throw_failed_source_diagnostic(dst, src, tag);
+      }
     }
     double remaining = 0;
     if (recv_timeout_seconds_ > 0) {
       remaining = recv_timeout_seconds_ - seconds_since(t0);
       if (remaining <= 0) {
-        std::lock_guard lk(box.mu);
-        box.has_waiter = false;
+        {
+          std::lock_guard lk(box.mu);
+          box.waiter_src.store(-1, std::memory_order_relaxed);
+        }
         throw_blocked_diagnostic(dst, src, tag, /*deadlock=*/false);
       }
     }
     const Sched::Wake why = sched_->park(remaining);
     {
       std::lock_guard lk(box.mu);
-      box.has_waiter = false;
+      box.waiter_src.store(-1, std::memory_order_relaxed);
       const auto it = box.slots.find(key);
       if (it != box.slots.end() && !it->second.empty()) continue;  // re-scan
     }

@@ -44,6 +44,7 @@
 // benches can report communication exposure.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -52,6 +53,7 @@
 #include <memory>
 #include <mutex>
 #include <queue>
+#include <string>
 #include <vector>
 
 namespace xphi::fault {
@@ -123,7 +125,8 @@ class Comm {
   /// Blocks until a message with (src, tag) arrives. Throws
   /// std::runtime_error naming the blocked rank/tag if the World's receive
   /// timeout (if set) expires first — or immediately, with a deadlock
-  /// diagnostic, if the scheduler proves no peer can ever send it.
+  /// diagnostic, if the scheduler proves no peer can ever send it, or with
+  /// src's own error once src has thrown with nothing queued.
   Payload recv(int src, int tag);
 
   /// Nonblocking send: the payload is buffered at the destination
@@ -204,10 +207,13 @@ class World {
 
   /// Runs fn(comm) once per rank as coroutine tasks over the worker pool;
   /// returns when all ranks finish. If a rank throws, the first exception
-  /// (by rank index) is rethrown here after all ranks complete — ranks
-  /// blocked on a failed peer's messages unblock through the receive
-  /// timeout, or through the scheduler's deadlock detection when no
-  /// timeout is set.
+  /// (by rank index) is rethrown here after all ranks complete. A receive
+  /// from a rank that has thrown, with nothing queued from it, fails at
+  /// once, and its message carries that rank's error; so the exception
+  /// rethrown here names the first failure even when a lower rank was
+  /// waiting on it. Ranks blocked on a rank that returned unblock through
+  /// the receive timeout, or through the scheduler's deadlock detection
+  /// when no timeout is set.
   void run(const std::function<void(Comm&)>& fn);
 
   /// Receive timeout in seconds (0 = wait forever, the default). A recv or
@@ -286,10 +292,18 @@ class World {
     std::size_t soft_cap_breaches = 0;
     bool cap_logged = false;
     // The owning rank's parked receive, if any (a rank waits on at most one
-    // (src, tag) at a time). Senders wake the task on a match.
-    bool has_waiter = false;
-    int waiter_src = -1;
+    // (src, tag) at a time); waiter_src is -1 when there is none. Senders
+    // wake the task on a match. A failing rank reads waiter_src without
+    // the lock (see note_failure).
+    std::atomic<int> waiter_src{-1};
     int waiter_tag = 0;
+  };
+
+  // A rank's exception, if its task threw: `error` is written before
+  // `failed` is set and never changes after.
+  struct Failure {
+    std::atomic<bool> failed{false};
+    std::string error;
   };
 
   void deliver(int src, int dst, int tag, Payload data);
@@ -299,6 +313,8 @@ class World {
   void cooperative_yield();
   [[noreturn]] void throw_blocked_diagnostic(int dst, int src, int tag,
                                              bool deadlock);
+  void note_failure(int rank, std::string error);
+  [[noreturn]] void throw_failed_source_diagnostic(int dst, int src, int tag);
 
   int ranks_;
   double recv_timeout_seconds_ = 0;
@@ -321,6 +337,7 @@ class World {
   std::vector<int> barrier_waiting_;
   // Live only inside run().
   Sched* sched_ = nullptr;
+  std::unique_ptr<Failure[]> failures_;
 };
 
 }  // namespace xphi::net

@@ -70,10 +70,11 @@ std::uint64_t fnv1a(std::uint64_t h, const std::string& s) {
 /// metrics only.
 ///
 /// Mixed-precision batches factor through hpl::factor_mixed (fp32, half the
-/// cached bytes) and answer each job with hpl::refine_mixed — initial fp32
-/// solve plus fp64 iterative refinement against the regenerated A, gated by
-/// the standard scaled residual. Both are deterministic, so a cache hit
-/// still returns bitwise the first solver's answer.
+/// cached bytes) and answer each job with hpl::refine_mixed_or_fp64 —
+/// initial fp32 solve plus fp64 iterative refinement against the
+/// regenerated A, gated by the standard scaled residual, and an fp64
+/// factor + solve of A where the refinement stalls. Both are deterministic,
+/// so a cache hit still returns bitwise the first solver's answer.
 void worker_main(net::Comm& comm, const ServeConfig& cfg,
                  ShardedLuCache* cache, const std::string& machine) {
   for (;;) {
@@ -112,13 +113,13 @@ void worker_main(net::Comm& comm, const ServeConfig& cfg,
       hit = fac != nullptr;
     }
     double factor_s = 0;
+    hpl::MixedOptions mo;
+    mo.nb = nb;
     if (!fac) {
       auto fresh = std::make_shared<Factorization>();
       bool ok;
       if (mixed) {
         fresh->precision = hpl::Precision::kMixed;
-        hpl::MixedOptions mo;
-        mo.nb = nb;
         ok = hpl::factor_mixed(a.view(), fresh->mixed, mo);
       } else {
         // Factor a copy; `a` stays pristine for the mixed/hash paths.
@@ -168,9 +169,10 @@ void worker_main(net::Comm& comm, const ServeConfig& cfg,
       const auto s0 = std::chrono::steady_clock::now();
       if (mixed) {
         const hpl::MixedSolveResult sol =
-            hpl::refine_mixed(a.view(), b, fac->mixed);
+            hpl::refine_mixed_or_fp64(a.view(), b, fac->mixed, mo);
         if (!sol.ok)
-          throw std::runtime_error("serve worker: mixed refinement diverged");
+          throw std::runtime_error(
+              "serve worker: mixed solve missed the residual gate");
         b = sol.x;
       } else {
         blas::lu_solve_vector<double>(fac->lu.view(), fac->ipiv, b);

@@ -1,9 +1,10 @@
 // Differential test of the LU stage engine (blas/getrf.h): every client —
 // getrf_blocked pooled (the malleable look-ahead on 1, 2 and 3 workers),
-// the DAG executor, the stage loop with the offload-engine update under
-// each look-ahead schedule, and the solve server's offload path — must
-// produce factors and pivots bitwise equal to the serial getrf_blocked,
-// also on ragged shapes and when a later panel hits a zero pivot.
+// the DAG executor, the stage loop with the offload-engine update with and
+// without the look-ahead on the engine's pool, and the solve server's
+// offload path — must produce factors and pivots bitwise equal to the
+// serial getrf_blocked, also on ragged shapes and when a later panel hits a
+// zero pivot.
 // getrf_blocked itself and the hybrid driver's residual are pinned to
 // hashes captured before the drivers shared one engine, so the oracle
 // cannot drift along with its clients. fp64 carries one pin per
@@ -189,9 +190,10 @@ std::vector<Client<T>> pooled_clients() {
           {"blocked ThreadPool(3)", pooled_client<T, 3>}};
 }
 
-/// The stage loop with the offload-engine update on 2 cards, under the
-/// look-ahead schedule kSubsets (0 = none).
-template <int kSubsets, bool kSteals>
+/// The stage loop with the offload-engine update on 2 cards: with the
+/// look-ahead on the engine's pool (the hybrid driver), or without a pool
+/// and so without look-ahead (the serve worker's offload path).
+template <bool kLookahead, bool kSteals>
 bool offload_client(util::MatrixView<double> a, std::span<std::size_t> ipiv,
                     std::size_t nb) {
   core::FunctionalOffloadConfig oc;
@@ -200,19 +202,26 @@ bool offload_client(util::MatrixView<double> a, std::span<std::size_t> ipiv,
   oc.knobs.mt = 24;
   oc.knobs.nt = 24;
   core::OffloadEngine engine(oc);
-  return getrf_stages<double>(a, ipiv, nb, {}, core::OffloadUpdate{engine},
-                              kSubsets);
+  PanelOptions panel;
+  if (kLookahead) panel.pool = &engine.pool();
+  return getrf_stages<double>(a, ipiv, nb, panel, core::OffloadUpdate{engine});
+}
+
+std::vector<Client<double>> offload_lookahead_clients() {
+  return {{"offload look-ahead steals", offload_client<true, true>},
+          {"offload look-ahead", offload_client<true, false>}};
+}
+
+std::vector<Client<double>> offload_none_clients() {
+  return {{"offload none steals", offload_client<false, true>},
+          {"offload none", offload_client<false, false>}};
 }
 
 std::vector<Client<double>> fp64_clients() {
   std::vector<Client<double>> out = dag_clients<double>();
   for (const auto& c : pooled_clients<double>()) out.push_back(c);
-  out.push_back({"offload none steals", offload_client<0, true>});
-  out.push_back({"offload none", offload_client<0, false>});
-  out.push_back({"offload basic steals", offload_client<1, true>});
-  out.push_back({"offload basic", offload_client<1, false>});
-  out.push_back({"offload pipelined steals", offload_client<4, true>});
-  out.push_back({"offload pipelined", offload_client<4, false>});
+  for (const auto& c : offload_none_clients()) out.push_back(c);
+  for (const auto& c : offload_lookahead_clients()) out.push_back(c);
   return out;
 }
 
@@ -312,19 +321,20 @@ TEST_F(StageEngine, PooledLookaheadFp32BitwiseEqualSerial) {
 }
 
 /// A zero pivot in the second and in the fourth panel (n=150, nb=32): the
-/// look-ahead participant fails while the others claim the rest's tiles.
-/// Every pooled client returns false without throwing, leaving the serial
+/// look-ahead participant fails while the others update the rest. Every
+/// look-ahead client returns false without throwing, leaving the serial
 /// oracle's factors and pivots bit for bit; every other client returns
 /// false too.
 template <class T>
-void expect_later_panel_fails(const std::vector<Client<T>>& others) {
+void expect_later_panel_fails(const std::vector<Client<T>>& lookahead,
+                              const std::vector<Client<T>>& others) {
   const std::size_t n = 150, nb = 32;
   for (const std::size_t col : {nb + 5, 3 * nb + 1}) {
     SCOPED_TRACE(testing::Message() << "zero column " << col);
     auto want = blocked<T>(zero_column<T>(n, col), nb);
     ASSERT_FALSE(want.ok);
     want.ok = true;  // expect_bitwise compares successful runs
-    for (const auto& client : pooled_clients<T>()) {
+    for (const auto& client : lookahead) {
       Factors<T> got;
       EXPECT_NO_THROW(
           got = run<T>(zero_column<T>(n, col),
@@ -348,11 +358,13 @@ void expect_later_panel_fails(const std::vector<Client<T>>& others) {
 }
 
 TEST_F(StageEngine, PooledLookaheadFailsInLaterPanel) {
+  std::vector<Client<double>> lookahead = pooled_clients<double>();
+  for (const auto& c : offload_lookahead_clients()) lookahead.push_back(c);
   std::vector<Client<double>> others = dag_clients<double>();
-  for (const auto& c : fp64_clients())
-    if (std::strncmp(c.name, "offload", 7) == 0) others.push_back(c);
-  expect_later_panel_fails<double>(others);
-  expect_later_panel_fails<float>(dag_clients<float>());
+  for (const auto& c : offload_none_clients()) others.push_back(c);
+  expect_later_panel_fails<double>(lookahead, others);
+  expect_later_panel_fails<float>(pooled_clients<float>(),
+                                  dag_clients<float>());
 }
 
 TEST_F(StageEngine, PooledLookaheadStatsCountPanels) {
@@ -365,28 +377,29 @@ TEST_F(StageEngine, PooledLookaheadStatsCountPanels) {
     panel.pool = &pool;
     StageLoopStats st;
     ASSERT_TRUE(getrf_stages<double>(a.view(), ipiv, s.nb, panel,
-                                     GemmUpdate<double>(), 0, &st));
+                                     GemmUpdate<double>(), &st));
     const std::size_t stages = (s.n + s.nb - 1) / s.nb;
     EXPECT_EQ(st.lookahead_panels, stages - 1);
-    EXPECT_EQ(st.column_updates, 0u);
   }
 }
 
-TEST_F(StageEngine, LookaheadStatsCountStagesAndSubsets) {
-  // n=150, nb=32: five panels, four look-aheads. Per stage the next panel's
-  // columns, then the rest (86, 54, 22 and 0 columns) in k subsets.
-  const std::size_t n = 150, nb = 32;
-  for (const auto& [subsets, updates] :
-       {std::pair<int, std::size_t>{1, 4 + 3}, {3, 4 + 3 * 3}}) {
-    auto a = input<double>(n);
-    std::vector<std::size_t> ipiv(n);
-    StageLoopStats st;
+TEST_F(StageEngine, OffloadLookaheadStatsCountPanels) {
+  // On the engine's pool every stage but the last factors the next panel
+  // beside the update; without a pool no stage does.
+  for (const Dims& s : all_shapes()) {
+    SCOPED_TRACE(testing::Message() << s.n << "x" << s.nb);
     core::OffloadEngine engine(core::FunctionalOffloadConfig{});
-    ASSERT_TRUE(getrf_stages<double>(a.view(), ipiv, nb, {},
-                                     core::OffloadUpdate{engine}, subsets,
-                                     &st));
-    EXPECT_EQ(st.lookahead_panels, 4u);
-    EXPECT_EQ(st.column_updates, updates) << subsets << " subsets";
+    for (const bool pooled : {true, false}) {
+      auto a = input<double>(s.n);
+      std::vector<std::size_t> ipiv(s.n);
+      PanelOptions panel;
+      if (pooled) panel.pool = &engine.pool();
+      StageLoopStats st;
+      ASSERT_TRUE(getrf_stages<double>(a.view(), ipiv, s.nb, panel,
+                                       core::OffloadUpdate{engine}, &st));
+      const std::size_t stages = (s.n + s.nb - 1) / s.nb;
+      EXPECT_EQ(st.lookahead_panels, pooled ? stages - 1 : 0) << pooled;
+    }
   }
 }
 
@@ -428,8 +441,7 @@ TEST_F(StageEngine, HybridResidualMatchesPinnedBits) {
       {97, 16, 2, 0x3f74a9c9f5508a27ull, 0x3f7301796a890d6full}};
   for (const Pin& pin : pins) {
     for (auto scheme : {core::FunctionalScheme::kNoLookahead,
-                        core::FunctionalScheme::kBasic,
-                        core::FunctionalScheme::kPipelined}) {
+                        core::FunctionalScheme::kBasic}) {
       core::HybridFunctionalConfig cfg;
       cfg.n = pin.n;
       cfg.nb = pin.nb;

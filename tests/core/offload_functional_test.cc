@@ -228,9 +228,53 @@ TEST(OffloadFunctional, EngineDestroyedRightAfterConstructionOrACall) {
   EXPECT_THROW(OffloadEngine{none}, std::invalid_argument);
 }
 
+TEST(OffloadFunctional, BesideTaskRunsOnceAndItsThrowIsForwarded) {
+  // A call with a task beside it gives the plain call's bits and runs the
+  // task exactly once; a throwing task leaves the product complete, is
+  // rethrown after the join, and the engine serves the next call.
+  const std::size_t m = 150, n = 130, k = 32;
+  Matrix<double> a(m, k), b(k, n);
+  util::fill_hpl_matrix(a.view(), 1);
+  util::fill_hpl_matrix(b.view(), 2);
+  for (const bool steals : {false, true}) {
+    FunctionalOffloadConfig cfg;
+    cfg.cards = 2;
+    cfg.host_steals = steals;
+    cfg.knobs.mt = cfg.knobs.nt = 24;
+    OffloadEngine engine(cfg);
+    Matrix<double> plain(m, n);
+    util::fill_hpl_matrix(plain.view(), 3);
+    engine.gemm(-1.0, a.view(), b.view(), plain.view());
+    for (const bool throws : {false, true, false}) {
+      Matrix<double> c(m, n);
+      util::fill_hpl_matrix(c.view(), 3);
+      int runs = 0;
+      const auto call = [&] {
+        engine.gemm(-1.0, a.view(), b.view(), c.view(), [&] {
+          ++runs;
+          if (throws) throw std::runtime_error("panel");
+        });
+      };
+      if (throws) {
+        EXPECT_THROW(call(), std::runtime_error);
+      } else {
+        call();
+      }
+      EXPECT_EQ(runs, 1);
+      for (std::size_t r = 0; r < m; ++r)
+        ASSERT_EQ(std::memcmp(c.data() + r * c.ld(),
+                              plain.data() + r * plain.ld(),
+                              n * sizeof(double)),
+                  0)
+            << "steals " << steals << " throws " << throws << " row " << r;
+    }
+  }
+}
+
 TEST(OffloadFunctional, ReusedEngineHybridSolveMatchesOneShot) {
-  // A whole look-ahead factorization through one engine, twice, against
-  // the one-shot engine per update: identical factors and pivots.
+  // A whole look-ahead factorization on one engine's pool, twice, against
+  // the one-shot engine per update without look-ahead: identical factors
+  // and pivots.
   const std::size_t n = 200, nb = 32;
   FunctionalOffloadConfig cfg;
   cfg.knobs.mt = 40;
@@ -245,15 +289,19 @@ TEST(OffloadFunctional, ReusedEngineHybridSolveMatchesOneShot) {
                             util::MatrixView<double> a22) {
     offload_gemm_functional(-1.0, l21, u, a22, cfg);
   };
-  ASSERT_TRUE(blas::getrf_stages<double>(want.view(), want_piv, nb, {},
-                                         one_shot, 1));
+  ASSERT_TRUE(
+      blas::getrf_stages<double>(want.view(), want_piv, nb, {}, one_shot));
   OffloadEngine engine(cfg);
+  blas::PanelOptions panel;
+  panel.pool = &engine.pool();
   for (int run = 0; run < 2; ++run) {
     Matrix<double> a(n, n);
     util::fill_hpl_matrix(a.view(), 17);
     std::vector<std::size_t> piv(n);
-    ASSERT_TRUE(blas::getrf_stages<double>(a.view(), piv, nb, {},
-                                           OffloadUpdate{engine}, 1));
+    blas::StageLoopStats stats;
+    ASSERT_TRUE(blas::getrf_stages<double>(a.view(), piv, nb, panel,
+                                           OffloadUpdate{engine}, &stats));
+    EXPECT_EQ(stats.lookahead_panels, (n + nb - 1) / nb - 1);
     EXPECT_EQ(piv, want_piv) << "run " << run;
     for (std::size_t r = 0; r < n; ++r)
       ASSERT_EQ(std::memcmp(a.data() + r * a.ld(), want.data() + r * want.ld(),

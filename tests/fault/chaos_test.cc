@@ -209,7 +209,7 @@ TEST(Chaos, FaultStallsAppearAsTimelineSpans) {
 }
 
 TEST(Chaos, CardDiesInEveryCallOfAReusedEngineBitwiseFactors) {
-  // A whole look-ahead LU through one resident engine. The scripted death
+  // A whole look-ahead LU on one resident engine's pool. The scripted death
   // is per call: card 0 dies after two tiles in every trailing update that
   // hands it a third, so every such call re-homes tiles, and the next call
   // starts with all cards alive on the same pool.
@@ -218,8 +218,10 @@ TEST(Chaos, CardDiesInEveryCallOfAReusedEngineBitwiseFactors) {
                           std::vector<std::size_t>& piv) {
     util::fill_hpl_matrix(a.view(), 29);
     OffloadEngine engine(cfg);
-    return blas::getrf_stages<double>(a.view(), piv, nb, {},
-                                      OffloadUpdate{engine}, 1);
+    blas::PanelOptions panel;
+    panel.pool = &engine.pool();
+    return blas::getrf_stages<double>(a.view(), piv, nb, panel,
+                                      OffloadUpdate{engine});
   };
   for (const int cards : {1, 2}) {
     FunctionalOffloadConfig clean;

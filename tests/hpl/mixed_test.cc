@@ -115,6 +115,38 @@ TEST(Mixed, DivergenceCapReportsNotOk) {
   EXPECT_LE(res.iterations, 3);
 }
 
+TEST(Mixed, StalledRefinementFallsBackToFp64) {
+  // On this n = 128 HPL matrix the fp32 refinement stalls at its cap.
+  // refine_mixed reports the stall; solve_mixed then factors A in fp64, as
+  // LAPACK's DSGESV does, and its answer is the fp64 solve's, bit for bit,
+  // and passes the unrelaxed gate.
+  const std::size_t n = 128;
+  const std::uint64_t seed = 9667988852215289810ull;
+  const System sys = make_system(n, seed);
+  MixedOptions mo;
+  mo.nb = 32;
+  MixedFactors f;
+  ASSERT_TRUE(factor_mixed(sys.a.view(), f, mo));
+  const MixedSolveResult stalled = refine_mixed(sys.a.view(), sys.b, f, mo);
+  EXPECT_FALSE(stalled.ok);
+  EXPECT_EQ(stalled.iterations, mo.max_refine_iters);
+
+  const MixedSolveResult res = solve_mixed_seeded(n, seed, mo);
+  ASSERT_TRUE(res.ok);
+  EXPECT_LT(res.residual, blas::kHplResidualThreshold);
+  EXPECT_EQ(res.iterations, mo.max_refine_iters);
+  EXPECT_EQ(res.trace.size(), static_cast<std::size_t>(res.iterations) + 2);
+  EXPECT_EQ(res.trace.back(), res.residual);
+
+  util::Matrix<double> lu(n, n);
+  util::fill_hpl_matrix(lu.view(), seed);
+  std::vector<std::size_t> ipiv(n);
+  ASSERT_TRUE(blas::getrf_blocked<double>(lu.view(), ipiv, mo.nb));
+  std::vector<double> x = sys.b;
+  blas::lu_solve_vector<double>(lu.view(), ipiv, x);
+  EXPECT_EQ(res.x, x);
+}
+
 TEST(Mixed, NonFiniteFactorsFailTheGate) {
   // NaN factors give an all-NaN x. The refinement residual must not skip
   // the NaN entries and pass: every evaluation fails, and so does the solve.

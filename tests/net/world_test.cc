@@ -9,6 +9,7 @@
 #include <numeric>
 #include <random>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 namespace xphi::net {
@@ -366,6 +367,56 @@ TEST(World, RecvTimeoutThrowsDiagnosticInsteadOfDeadlocking) {
   EXPECT_NE(message.find("rank 1"), std::string::npos) << message;
   EXPECT_NE(message.find("src=0"), std::string::npos) << message;
   EXPECT_NE(message.find("tag=77"), std::string::npos) << message;
+}
+
+TEST(World, RecvFromThrownRankFailsAtOnceWithItsError) {
+  // Rank 0 waits on rank 1, which throws: rank 0's receive must fail at
+  // once rather than wait out its timeout, and the exception run()
+  // rethrows (rank 0's, by rank index) must carry rank 1's own error.
+  World w(2);
+  w.set_recv_timeout(60);
+  const auto t0 = std::chrono::steady_clock::now();
+  std::string message;
+  try {
+    w.run([&](Comm& c) {
+      if (c.rank() == 1) throw std::runtime_error("boom");
+      (void)c.recv(1, 3);
+    });
+    FAIL() << "expected the receive from the failed rank to throw";
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  const double s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  EXPECT_LT(s, 5.0);
+  EXPECT_NE(message.find("boom"), std::string::npos) << message;
+  EXPECT_NE(message.find("rank 0"), std::string::npos) << message;
+  EXPECT_NE(message.find("src=1"), std::string::npos) << message;
+}
+
+TEST(World, RecvFromThrownRankDrainsItsQueueFirst) {
+  // What a rank sent before it threw is still delivered; the next receive
+  // from it fails at once.
+  World w(2);
+  w.set_recv_timeout(60);
+  double got = 0;
+  std::string message;
+  try {
+    w.run([&](Comm& c) {
+      if (c.rank() == 1) {
+        c.send(0, 4, {5.0});
+        throw std::runtime_error("after one send");
+      }
+      got = c.recv(1, 4).at(0);
+      (void)c.recv(1, 4);
+    });
+    FAIL() << "expected the second receive to throw";
+  } catch (const std::runtime_error& e) {
+    message = e.what();
+  }
+  EXPECT_EQ(got, 5.0);
+  EXPECT_NE(message.find("after one send"), std::string::npos) << message;
 }
 
 TEST(World, MailboxHighWaterAndSoftCap) {

@@ -11,6 +11,7 @@
 
 #include "blas/getrf.h"
 #include "blas/lu_kernels.h"
+#include "blas/residual.h"
 #include "hpl/mixed.h"
 #include "serve/job.h"
 #include "trace/timeline.h"
@@ -276,6 +277,29 @@ TEST(Server, MixedPrecisionJobsEndToEnd) {
   }
   EXPECT_TRUE(saw_mixed);
   EXPECT_TRUE(saw_fp64);
+}
+
+TEST(Server, MixedJobWhoseRefinementStallsIsAnswered) {
+  // The fp32 refinement stalls on this matrix for every right-hand side:
+  // the worker answers through an fp64 factor + solve instead of failing.
+  Job job;
+  job.n = 128;
+  job.matrix_seed = 9667988852215289810ull;
+  job.rhs_seed = 16151164257109089609ull;
+  job.precision = hpl::Precision::kMixed;
+  ServeConfig cfg;
+  cfg.workers = 1;
+  const ServeReport report = run_server({job}, cfg);
+  ASSERT_EQ(report.jobs.size(), 1u);
+  ASSERT_FALSE(report.jobs[0].rejected);
+  ASSERT_EQ(report.jobs[0].x.size(), job.n);
+  util::Matrix<double> a(job.n, job.n);
+  util::fill_hpl_matrix(a.view(), job.matrix_seed);
+  std::vector<double> b(job.n);
+  util::Rng rng(job.rhs_seed);
+  for (auto& v : b) v = rng.next_centered();
+  EXPECT_LT(blas::hpl_residual<double>(a.view(), report.jobs[0].x, b),
+            blas::kHplResidualThreshold);
 }
 
 TEST(Server, MixedTrafficCacheAnswersBitwiseIdentical) {
