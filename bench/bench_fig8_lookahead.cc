@@ -1,13 +1,13 @@
-// Figure 8 companion: the three look-ahead schemes of the distributed HPL,
-// run *functionally* over net::World ranks (threads + messages) instead of
-// simulated — kNone (next panel after the whole update, Fig 8a), kBasic
-// (next panel hidden under the trailing update, Fig 8b) and kPipelined (that
-// update split into column subsets, Fig 8c): one rank stage scheduled by a
-// look-ahead subset count.
+// Figure 8 companion: the look-ahead of the distributed HPL, run
+// *functionally* over net::World ranks (threads + messages) instead of
+// simulated — kNone (next panel after the whole update, Fig 8a) and kBasic
+// (next panel hidden under the trailing update, Fig 8b): one rank stage,
+// with and without look-ahead. The pipelined scheme of Fig 8c is the
+// simulator's (core::Lookahead::kPipelined, bench_fig9_pipeline_profile).
 //
 // For each scheme the bench reports wall time, effective GF/s, the
 // cross-lane broadcast x GEMM overlap (the "communication hidden under
-// compute" the pipelining exists for), aggregate message/byte counts and
+// compute" the look-ahead exists for), aggregate message/byte counts and
 // blocked-wait seconds from the per-rank CommStats, and verifies the HPL
 // residual. Records land in BENCH_hpl.json next to the binary (committed
 // copy under results/) as the cross-PR trend artifact for the distributed
@@ -25,12 +25,7 @@
 namespace {
 
 const char* scheme_name(xphi::hpl::Lookahead s) {
-  switch (s) {
-    case xphi::hpl::Lookahead::kNone: return "none";
-    case xphi::hpl::Lookahead::kBasic: return "basic";
-    case xphi::hpl::Lookahead::kPipelined: return "pipelined";
-  }
-  return "?";
+  return s == xphi::hpl::Lookahead::kNone ? "none" : "basic";
 }
 
 /// LU factor + solve flops for order n (2/3 n^3 + lower-order terms).
@@ -50,17 +45,16 @@ int main() {
 
   std::printf(
       "Figure 8 (functional): look-ahead schemes of the distributed HPL\n"
-      "n=%zu nb=%zu grid=%dx%d, %d reps (best), pipeline subsets=4\n\n",
+      "n=%zu nb=%zu grid=%dx%d, %d reps (best)\n\n",
       n, nb, grid.p, grid.q, reps);
   std::printf("%-10s %9s %8s %11s %10s %12s %9s\n", "scheme", "time[s]",
               "GF/s", "overlap[s]", "messages", "bytes", "wait[s]");
 
   // Reps are interleaved round-robin across the schemes (rep 0 of every
-  // scheme, then rep 1, ...) so slow drift in background load hits all three
+  // scheme, then rep 1, ...) so slow drift in background load hits both
   // equally instead of biasing whichever scheme happens to run last.
   const std::vector<hpl::Lookahead> schemes = {hpl::Lookahead::kNone,
-                                               hpl::Lookahead::kBasic,
-                                               hpl::Lookahead::kPipelined};
+                                               hpl::Lookahead::kBasic};
   std::vector<double> best(schemes.size(), -1);
   std::vector<hpl::DistributedHplResult> results(schemes.size());
   std::vector<trace::Timeline> timelines(schemes.size());
@@ -69,7 +63,6 @@ int main() {
       trace::Timeline run_tl;
       hpl::DistributedHplOptions opt;
       opt.lookahead = schemes[i];
-      opt.pipeline_subsets = 4;
       opt.timeline = &run_tl;
       const auto t0 = std::chrono::steady_clock::now();
       auto out = hpl::run_distributed_hpl(n, nb, grid, seed, opt);

@@ -7,11 +7,12 @@
 # net::World messaging layer (the cooperative coroutine scheduler, via the
 # TSan fiber API, plus nonblocking requests, both collective families and
 # the engine-conformance suite), the weak-scaling fabric smoke run, the
-# distributed HPL look-ahead schedules built on it, the fault-injection
-# chaos harness (retry/NACK/absorption races in the offload reliability
-# protocol), and the solve server (dispatcher vs concurrent workers, the
-# sharded LU cache under mixed traffic) — the code paths where a scheduling
-# bug would be a data race rather than a wrong number.
+# distributed HPL look-ahead schedule built on it (its ranks, on different
+# worker threads, write their factors into one shared output matrix), the
+# fault-injection chaos harness (retry/NACK/absorption races in the offload
+# reliability protocol), and the solve server (dispatcher vs concurrent
+# workers, the sharded LU cache under mixed traffic) — the code paths where
+# a scheduling bug would be a data race rather than a wrong number.
 # CI-runnable: exits non-zero on any race report or test failure.
 set -euo pipefail
 
@@ -54,7 +55,13 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # the 1024-rank bounded-pool run, all on coroutine stacks (the build maps
 # them through the TSan fiber API; a missed fiber switch reports here).
 "$BUILD_DIR/tests/test_net_conformance"
-"$BUILD_DIR/tests/test_hpl" --gtest_filter='DistributedHpl.Lookahead*:DistributedHpl.Pipelined*:DistributedHpl.CommStats*:DistributedHpl.DistributedResidual*'
+"$BUILD_DIR/tests/test_hpl" --gtest_filter='DistributedHpl.Lookahead*:DistributedHpl.CommStats*:DistributedHpl.DistributedResidual*'
+# Every rank writes its own share of the result's factor matrix from its
+# own worker thread; repeat the grid cases so a missing happens-before
+# between those writes and the caller's read would show.
+"$BUILD_DIR/tests/test_hpl" \
+  --gtest_filter='DistributedHpl.Lookahead*:DistributedHpl.CommStats*:DistributedHpl.TwoByTwo*' \
+  --gtest_repeat=5
 # Mixed precision: fp32 blocked factorization, the distributed refinement
 # loop on coroutine ranks, and the chaos cases (net faults + dead offload
 # card mid-factor) — refinement-trace determinism under real thread

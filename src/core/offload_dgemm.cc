@@ -67,13 +67,6 @@ TileTimes tile_times(std::size_t mt, std::size_t nt, std::size_t kt,
 
 }  // namespace
 
-double offload_tile_cycle_seconds(std::size_t mt, std::size_t nt,
-                                  std::size_t kt, const sim::KncGemmModel& knc,
-                                  const pci::PcieLink& link, bool contended) {
-  // Representative steady-state cycle (operand reuse over an ~8x8 grid).
-  return tile_times(mt, nt, kt, 8, 8, knc, link, contended).cycle();
-}
-
 std::pair<std::size_t, std::size_t> tune_tile_size(
     std::size_t m, std::size_t n, std::size_t kt, const sim::KncGemmModel& knc,
     const pci::PcieLink& link, bool contended) {

@@ -56,12 +56,6 @@ struct OffloadDgemmResult {
   double exposed_transfer_seconds = 0;  // first/last tile exposure per card
 };
 
-/// Per-tile steady-state cycle time on one card (compute vs transfers vs
-/// host-side packing), used by both the simulator and the tuner.
-double offload_tile_cycle_seconds(std::size_t mt, std::size_t nt,
-                                  std::size_t kt, const sim::KncGemmModel& knc,
-                                  const pci::PcieLink& link, bool contended);
-
 /// Runtime-adaptive tile selection: evaluates the candidate (Mt, Nt) table
 /// and returns the pair that maximizes modeled offload efficiency for an
 /// m x n update (paper: "for each matrix size ... pre-compute the best tile

@@ -148,8 +148,7 @@ class Call {
        const tune::Knobs& knobs)
       : alpha_(alpha), a_(a), b_(b), c_(c), k_(a.cols()), cfg_(cfg),
         knobs_(knobs), inj_(cfg.injector),
-        grid_(c.rows(), c.cols(), knobs.mt, knobs.nt,
-              cfg.merge_partial_tiles),
+        grid_(c.rows(), c.cols(), knobs.mt, knobs.nt),
         cards_(std::make_unique<CardState[]>(cfg.cards)),
         cards_alive_(cfg.cards) {
     if (inj_ != nullptr) {

@@ -62,7 +62,6 @@ struct FunctionalOffloadConfig {
   tune::Knobs knobs{.mt = 64, .nt = 64};
   int cards = 1;
   bool host_steals = true;
-  bool merge_partial_tiles = true;
 
   /// Fault injection on the DMA queues (Site::kDmaRequest / kDmaResult)
   /// and scripted card deaths. Null = clean run: no checksums, no retry

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <mutex>
 #include <type_traits>
 
 #include "blas/gemm_tiled.h"
@@ -28,14 +27,12 @@ using util::MatrixView;
 
 // Message tags: each stage owns a kTagStride-wide window
 // (stage * kTagStride + base).
-constexpr int kMaxSubsets = 16;
 constexpr int kTagStride = 64;
 constexpr int kTagPanelGather = 0;
 constexpr int kTagPanelBcast = 1;
-constexpr int kTagGather = 2;
 constexpr int kTagSwap = 3;
 constexpr int kTagUFirst = 4;  // subset 0's U block
-constexpr int kTagURest = 5;   // the coalesced U block of the other subsets
+constexpr int kTagURest = 5;   // the U block of the rest
 
 /// Receive timeout handed to net::World: a mismatched (src, tag) surfaces as
 /// a diagnostic instead of a hung run.
@@ -399,9 +396,9 @@ Matrix<T> build_l21(const RankContext<T>& ctx, std::size_t k0,
 }
 
 /// Local trailing update A22 -= L21 * U restricted to the columns of `slot`
-/// that fall inside `cols`. Column subsets accumulate each element over k
-/// in the same order as the full-width update (see gemm_tiled.h), so the
-/// split is bitwise-neutral.
+/// that fall inside `cols`. A column split accumulates each element over k
+/// in the same order as the full-width update (see gemm_tiled.h), so it is
+/// bitwise-neutral.
 template <class T>
 void update_range(RankContext<T>& ctx, std::size_t pw, const Matrix<T>& l21,
                   std::size_t lr_trail, std::size_t m_loc, const USlot& slot,
@@ -457,37 +454,25 @@ void update_range(RankContext<T>& ctx, std::size_t pw, const Matrix<T>& l21,
   ctx.record(SpanKind::kGemm, t0);
 }
 
-/// The scheme as blas::getrf_stages' `lookahead_subsets`: the number of
-/// column subsets the trailing matrix right of the next panel's columns is
-/// split into. 0 makes the whole trailing matrix one subset, so the next
-/// panel starts only after the whole update (Figure 8a).
-int lookahead_subsets(const DistributedHplOptions& options) {
-  switch (options.lookahead) {
-    case Lookahead::kNone: return 0;
-    case Lookahead::kBasic: return 1;
-    case Lookahead::kPipelined: break;
-  }
-  return std::clamp(options.pipeline_subsets, 1, kMaxSubsets) - 1;
-}
-
-/// One LU stage (Figure 8) with `subsets` look-ahead subsets (see
-/// lookahead_subsets). Consumes this stage's factored packet and returns the
-/// next stage's.
+/// One LU stage (Figure 8). Consumes this stage's factored packet and
+/// returns the next stage's.
 ///
 /// The row swap is one exchange per rank pair over every column. Subset 0
-/// (the next panel's columns, or the whole trailing matrix when subsets is
-/// 0) has its U solved and sent first, so its update — and the next panel's
-/// launch — start as early as possible. The remaining subsets travel as ONE
-/// coalesced U message per process row whose wide solve the owner row
-/// defers until after the panel launch, hiding it under the next panel's
-/// gather/factor; every rank then consumes it subset by subset while the
-/// panel travels. Deferring the solve is bitwise-neutral: the U rows it
-/// reads are disjoint (in both rows and columns) from everything subset 0's
-/// update and the panel pack touch. TRSM is independent per column and
-/// gemm_tiled per column split, so every subset count yields the same bits.
+/// has its U solved and sent first, so its update — and the next panel's
+/// launch — start as early as possible. With look-ahead, subset 0 is the
+/// next panel's columns, and the rest [rest0, n) travels as ONE U message
+/// per process row whose wide solve the owner row defers until after the
+/// panel launch, hiding it under the next panel's gather/factor; every rank
+/// then updates the rest while the panel travels (Figure 8b). Without it,
+/// subset 0 is the whole trailing matrix and the next panel starts only
+/// after the whole update (Figure 8a). Deferring the solve is
+/// bitwise-neutral: the U rows it reads are disjoint (in both rows and
+/// columns) from everything subset 0's update and the panel pack touch.
+/// TRSM is independent per column and gemm_tiled per column split, so both
+/// schedules yield the same bits.
 template <class T>
 Payload run_stage(RankContext<T>& ctx, std::size_t bk, Payload packet,
-                  std::vector<double>& ipiv_all, int subsets) {
+                  std::vector<double>& ipiv_all, bool lookahead) {
   const BlockCyclic& dist = *ctx.dist;
   const std::size_t n = dist.n();
   const std::size_t nb = dist.nb();
@@ -508,14 +493,8 @@ Payload run_stage(RankContext<T>& ctx, std::size_t bk, Payload packet,
     return {};
   }
 
-  // Subset 0, then the rest [rest0, n) in `subsets` equal parts.
-  const std::size_t rest0 = subsets == 0 ? n : std::min(n, trail_g0 + nb);
-  std::vector<ColSpan> cols{{trail_g0, rest0}};
-  const std::size_t rest_w = n - rest0;
-  const std::size_t parts = std::min<std::size_t>(subsets, rest_w);
-  for (std::size_t i = 0; i < parts; ++i)
-    cols.push_back(
-        {rest0 + i * rest_w / parts, rest0 + (i + 1) * rest_w / parts});
+  // Subset 0 is [trail_g0, rest0); the rest is [rest0, n).
+  const std::size_t rest0 = lookahead ? std::min(n, trail_g0 + nb) : n;
 
   const std::size_t lr_trail = ctx.local_row_lower_bound(trail_g0);
   const std::size_t m_loc = ctx.lrows() - lr_trail;
@@ -525,14 +504,13 @@ Payload run_stage(RankContext<T>& ctx, std::size_t bk, Payload packet,
 
   swap_rows_ranges(ctx, stage_tag + kTagSwap, ipiv_stage, k0, pw,
                    {{0, k0}, {trail_g0, n}});
-  USlot first = start_u(ctx, bk, stage_tag + kTagUFirst, cols[0]);
+  USlot first = start_u(ctx, bk, stage_tag + kTagUFirst, {trail_g0, rest0});
   USlot rest = start_u(ctx, bk, stage_tag + kTagURest, {rest0, n});
   finish_u(ctx, k0, pw, panel_data, first);
-  update_range(ctx, pw, l21, lr_trail, m_loc, first, cols[0]);
+  update_range(ctx, pw, l21, lr_trail, m_loc, first, {trail_g0, rest0});
   PanelLaunch launch = start_panel(ctx, bk + 1);
   finish_u(ctx, k0, pw, panel_data, rest);
-  for (std::size_t s = 1; s < cols.size(); ++s)
-    update_range(ctx, pw, l21, lr_trail, m_loc, rest, cols[s]);
+  update_range(ctx, pw, l21, lr_trail, m_loc, rest, {rest0, n});
   return finish_panel(ctx, std::move(launch));
 }
 
@@ -729,15 +707,14 @@ std::vector<double> permuted(std::vector<double> v,
 }
 
 /// The whole per-rank program: fill, factor, solve, (mixed: refine), check
-/// the residual, gather the factors. T = double is the classic fp64
-/// benchmark, bit-for-bit the pre-template behavior; T = float is the
-/// mixed-precision path.
+/// the residual, write this rank's factors into result.factored. T = double
+/// is the classic fp64 benchmark, bit-for-bit the pre-template behavior;
+/// T = float is the mixed-precision path.
 template <class T>
 void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
                const DistributedHplOptions& options, std::uint64_t seed,
                std::chrono::steady_clock::time_point epoch,
-               std::vector<trace::Span>* spans, DistributedHplResult& result,
-               std::mutex& result_mu) {
+               std::vector<trace::Span>* spans, DistributedHplResult& result) {
   const std::size_t n = dist.n();
   RankContext<T> ctx;
   ctx.dist = &dist;
@@ -758,10 +735,10 @@ void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
                           dist.global_col(ctx.pcol, lc)));
 
   std::vector<double> ipiv_all;
-  const int subsets = lookahead_subsets(options);
+  const bool lookahead = options.lookahead != Lookahead::kNone;
   Payload packet = finish_panel(ctx, start_panel(ctx, 0));
   for (std::size_t bk = 0; bk < dist.num_blocks(); ++bk)
-    packet = run_stage(ctx, bk, std::move(packet), ipiv_all, subsets);
+    packet = run_stage(ctx, bk, std::move(packet), ipiv_all, lookahead);
 
   // Distributed solve: permute the replicated right-hand side by the
   // recorded interchanges, then block forward/back substitution.
@@ -802,44 +779,26 @@ void rank_main(Comm& comm, const BlockCyclic& dist, const Grid& grid,
     }
   }
 
-  // Gather the factors to rank 0 for the result (the tests' view of them;
-  // nothing above reads the gathered copy).
-  const int gather_tag =
-      static_cast<int>(dist.num_blocks()) * kTagStride + kTagGather;
-  if (comm.rank() != 0) {
-    Payload mine;
-    mine.reserve(ctx.lrows() * ctx.lcols());
-    for (std::size_t lr = 0; lr < ctx.lrows(); ++lr)
-      for (std::size_t lc = 0; lc < ctx.lcols(); ++lc)
-        mine.push_back(static_cast<double>(ctx.local(lr, lc)));
-    comm.send(0, gather_tag, std::move(mine));
-    return;
+  // This rank's factors, widened, at their global positions (the tests'
+  // view of them; nothing above reads them), one local column block — nb
+  // contiguous global columns — at a time. Ranks write disjoint elements
+  // of the preallocated matrix, and World::run's join orders every write
+  // before the caller reads it.
+  for (std::size_t lr = 0; lr < ctx.lrows(); ++lr) {
+    double* out = result.factored.view().row(dist.global_row(ctx.prow, lr));
+    for (std::size_t lc0 = 0; lc0 < ctx.lcols(); lc0 += dist.nb()) {
+      double* dst = out + dist.global_col(ctx.pcol, lc0);
+      const std::size_t w = std::min(dist.nb(), ctx.lcols() - lc0);
+      for (std::size_t c = 0; c < w; ++c)
+        dst[c] = static_cast<double>(ctx.local(lr, lc0 + c));
+    }
   }
+  if (comm.rank() != 0) return;
 
-  Matrix<double> full(n, n);
-  auto scatter_into_full = [&](int prow, int pcol, auto&& at) {
-    for (std::size_t lr = 0; lr < dist.local_rows(prow); ++lr)
-      for (std::size_t lc = 0; lc < dist.local_cols(pcol); ++lc)
-        full(dist.global_row(prow, lr), dist.global_col(pcol, lc)) =
-            static_cast<double>(at(lr, lc));
-  };
-  scatter_into_full(ctx.prow, ctx.pcol, [&](std::size_t lr, std::size_t lc) {
-    return ctx.local(lr, lc);
-  });
-  for (int r = 1; r < grid.ranks(); ++r) {
-    const Payload msg = comm.recv(r, gather_tag);
-    const std::size_t cols = dist.local_cols(grid.pcol_of(r));
-    scatter_into_full(grid.prow_of(r), grid.pcol_of(r),
-                      [&](std::size_t lr, std::size_t lc) {
-                        return msg[lr * cols + lc];
-                      });
-  }
   std::vector<std::size_t> ipiv(n);
   for (std::size_t i = 0; i < n && i < ipiv_all.size(); ++i)
     ipiv[i] = static_cast<std::size_t>(ipiv_all[i]);
 
-  std::lock_guard lk(result_mu);
-  result.factored = std::move(full);
   result.ipiv = std::move(ipiv);
   result.x = std::move(x_dist);
   result.residual = residual;
@@ -854,6 +813,7 @@ DistributedHplResult run_distributed_hpl(std::size_t n, std::size_t nb,
                                          Grid grid, std::uint64_t seed,
                                          const DistributedHplOptions& options) {
   DistributedHplResult result;
+  result.factored = Matrix<double>(n, n);
   BlockCyclic dist(n, nb, grid);
   net::World world(grid.ranks());
   world.set_recv_timeout(kRecvTimeoutSeconds);
@@ -865,16 +825,13 @@ DistributedHplResult run_distributed_hpl(std::size_t n, std::size_t nb,
   std::vector<std::vector<trace::Span>> rank_spans(grid.ranks());
   const auto epoch = std::chrono::steady_clock::now();
 
-  std::mutex result_mu;
   world.run([&](Comm& comm) {
     std::vector<trace::Span>* spans =
         options.timeline != nullptr ? &rank_spans[comm.rank()] : nullptr;
     if (options.precision == Precision::kMixed)
-      rank_main<float>(comm, dist, grid, options, seed, epoch, spans, result,
-                       result_mu);
+      rank_main<float>(comm, dist, grid, options, seed, epoch, spans, result);
     else
-      rank_main<double>(comm, dist, grid, options, seed, epoch, spans, result,
-                        result_mu);
+      rank_main<double>(comm, dist, grid, options, seed, epoch, spans, result);
   });
 
   result.comm_stats.reserve(grid.ranks());

@@ -7,26 +7,24 @@
 // exchanges, U forward-solve and broadcast down the columns, local trailing
 // updates. Each run checks itself once, as HPL does: the scaled residual of
 // the returned solution, computed over the distributed data. The factors
-// gathered to rank 0 are returned for the tests, which compare them against
-// the sequential blocked factorization.
+// never travel after the factorization: each rank writes its own share into
+// the returned matrix for the tests, which compare it against the
+// sequential blocked factorization.
 //
-// The paper's three look-ahead schemes (Section IV, Figure 8) reorder the
-// same rank stage, as blas::getrf_stages does on one node: each scheme is a
-// count of look-ahead column subsets (none = 0, basic = 1, pipelined =
-// pipeline_subsets - 1). A stage swaps rows, solves and sends the U block of
-// column subset 0 (the next panel's columns), updates it, starts the next
-// panel, then solves and sends the other subsets' U as one coalesced message
-// and updates them subset by subset while that panel travels:
-//   kNone      — one subset, the whole trailing matrix: the next panel starts
-//                only after the whole update (Figure 8a).
-//   kBasic     — the next panel is gathered, factored and sent right after
-//                its columns are updated, so it overlaps the rest of the
-//                trailing update (Figure 8b).
-//   kPipelined — the rest is updated in several subsets as the coalesced U
-//                arrives (Figure 8c).
-// Every panel and U transfer is a flat isend/irecv fan-out. All three
-// schemes produce bitwise-identical pivots and factors: swaps only move
-// data, TRSM is independent per column, and the subset split changes no
+// The look-ahead (Section IV, Figure 8) reorders the same rank stage. A
+// stage swaps rows, solves and sends the U block of column subset 0,
+// updates it, starts the next panel, then solves and sends the rest's U as
+// one message and updates the rest while that panel travels:
+//   kNone  — subset 0 is the whole trailing matrix: the next panel starts
+//            only after the whole update (Figure 8a).
+//   kBasic — subset 0 is the next panel's columns, so the next panel is
+//            gathered, factored and sent right after they are updated and
+//            overlaps the rest of the trailing update (Figure 8b).
+// The paper's pipelined scheme (Figure 8c) also streams the U broadcast,
+// swaps and TRSM per column subset; only the simulator (core::Lookahead)
+// models it. Every panel and U transfer is a flat isend/irecv fan-out. Both
+// schedules produce bitwise-identical pivots and factors: swaps only move
+// data, TRSM is independent per column, and the column split changes no
 // per-element accumulation order (see gemm_tiled.h).
 //
 // Scope note (documented in DESIGN.md): the panel is gathered to a root rank
@@ -53,9 +51,12 @@ class Timeline;
 
 namespace xphi::hpl {
 
-/// Look-ahead depth of the factorization schedule — the functional twin of
-/// core::Lookahead (the simulator's cost model for the same three schemes).
-enum class Lookahead { kNone, kBasic, kPipelined };
+/// Look-ahead of the factorization schedule — the functional twin of
+/// core::Lookahead (the simulator's cost model of the paper's schemes).
+/// kPipelined is an alias of kBasic: on the grid it only split the rest's
+/// update into back-to-back GEMMs, which changed neither the messages nor
+/// the time. It stays for the callers that still name it.
+enum class Lookahead { kNone, kBasic, kPipelined = kBasic };
 
 struct DistributedHplOptions {
   /// When true, each rank's local trailing update runs through the
@@ -66,10 +67,6 @@ struct DistributedHplOptions {
   core::FunctionalOffloadConfig offload{};
 
   Lookahead lookahead = Lookahead::kNone;
-  /// Column subsets of the pipelined scheme's trailing update, counting
-  /// subset 0, the next panel's columns (clamped to [1, 16]; 1 runs the
-  /// kNone stage).
-  int pipeline_subsets = 4;
 
   /// Optional capture of per-rank compute and communication spans
   /// (lane = rank; kBroadcast covers panel/U transfers and their waits,
@@ -107,11 +104,12 @@ struct DistributedHplResult {
   /// A*x and |A|, and the norms are combined with a ring allreduce — no
   /// gathered matrix needed. Under kMixed it is refine_trace.back().
   double residual = 0;
-  /// Factored matrix gathered to rank 0 (L\U in place, rows swapped): the
-  /// tests' oracle view of the distributed factors; the run itself never
-  /// reads it. Under Precision::kMixed these are the fp32 factors widened
-  /// to double (exact), so they compare bitwise against a sequential
-  /// getrf_blocked<float> of the demoted matrix.
+  /// Factored matrix (L\U in place, rows swapped), written share by share:
+  /// every rank stores its own local entries at their global positions, so
+  /// no factor is sent. The tests' oracle view of the distributed factors;
+  /// the run itself never reads it. Under Precision::kMixed these are the
+  /// fp32 factors widened to double (exact), so they compare bitwise against
+  /// a sequential getrf_blocked<float> of the demoted matrix.
   util::Matrix<double> factored;
   /// Absolute global row interchanges, stage-ordered.
   std::vector<std::size_t> ipiv;
@@ -131,7 +129,7 @@ struct DistributedHplResult {
 
 /// Factors the seeded HPL matrix of order n on a P x Q grid with panel width
 /// nb, solves Ax = b distributed (kMixed: and refines), checks the residual
-/// of that solution, and returns it with the gathered factors.
+/// of that solution, and returns it with the factors.
 DistributedHplResult run_distributed_hpl(std::size_t n, std::size_t nb,
                                          Grid grid, std::uint64_t seed = 42,
                                          const DistributedHplOptions& options = {});

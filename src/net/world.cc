@@ -106,7 +106,6 @@ void World::run(const std::function<void(Comm&)>& fn) {
   barrier_waiting_.clear();
   Sched::Options options;
   options.workers = workers_;
-  options.stack_bytes = stack_bytes_;
   Sched sched(ranks_, options);
   sched_ = &sched;
   failures_ = std::make_unique<Failure[]>(static_cast<std::size_t>(ranks_));

@@ -237,10 +237,6 @@ class World {
   /// Worker threads the next run() will use (resolved value).
   int workers() const;
 
-  /// Per-rank coroutine stack reservation in bytes (default 1 MiB;
-  /// committed lazily page by page). Set before run().
-  void set_stack_bytes(std::size_t bytes) { stack_bytes_ = bytes; }
-
   /// bcast_auto crossover: size hints strictly greater than this (in
   /// doubles) dispatch to the segmented ring when the group can pipeline.
   /// Default 1024 doubles (8 KiB). SIZE_MAX = always tree, 0 = always ring
@@ -248,17 +244,11 @@ class World {
   void set_collective_crossover_doubles(std::size_t doubles) {
     crossover_doubles_ = doubles;
   }
-  std::size_t collective_crossover_doubles() const noexcept {
-    return crossover_doubles_;
-  }
 
   /// Segment (in doubles) bcast_auto hands to ring_bcast (default 1024).
   /// Swept as "net_ring_segment" by bench_tune.
   void set_ring_segment_doubles(std::size_t doubles) {
     ring_segment_doubles_ = doubles;
-  }
-  std::size_t ring_segment_doubles() const noexcept {
-    return ring_segment_doubles_;
   }
 
   /// Arms deterministic fault injection on message delivery (set before
@@ -320,7 +310,6 @@ class World {
   double recv_timeout_seconds_ = 0;
   std::size_t mailbox_soft_cap_ = 0;
   int workers_ = 0;  // 0 = automatic
-  std::size_t stack_bytes_ = 1 << 20;
   std::size_t crossover_doubles_ = 1024;
   std::size_t ring_segment_doubles_ = 1024;
   fault::Injector* injector_ = nullptr;

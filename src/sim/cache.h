@@ -40,10 +40,6 @@ class SetAssociativeCache {
     const std::size_t total = hits_ + misses_;
     return total ? static_cast<double>(misses_) / total : 0.0;
   }
-  void reset_counters() noexcept {
-    hits_ = 0;
-    misses_ = 0;
-  }
 
   /// Knights Corner L1D: 32 KB, 8-way, 64 B lines.
   static SetAssociativeCache knc_l1();

@@ -64,7 +64,6 @@ class KncLuModel {
 
   const MachineSpec& spec() const noexcept { return spec_; }
   const KncLuParams& params() const noexcept { return params_; }
-  KncLuParams& mutable_params() noexcept { return params_; }
   const KncGemmModel& gemm_model() const noexcept { return gemm_; }
 
   /// DGETRF of a rows x nb panel on a group of `cores` cores.
@@ -102,7 +101,6 @@ class SnbLuModel {
 
   const MachineSpec& spec() const noexcept { return spec_; }
   const SnbLuParams& params() const noexcept { return params_; }
-  const SnbModel& dgemm_model() const noexcept { return dgemm_; }
 
   double panel_seconds(std::size_t rows, std::size_t nb, int cores) const noexcept;
   double swap_seconds(std::size_t nb, std::size_t width) const noexcept;

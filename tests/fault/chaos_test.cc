@@ -326,13 +326,12 @@ TEST(Chaos, HplDropDelayDeadCardBitwiseResidual) {
 
 TEST(Chaos, LookaheadSchemesSurviveSlowRankBitwise) {
   // Satellite: a single slow rank (stalls before every send) perturbs the
-  // schedule of all three look-ahead schemes but must not change pivots or
-  // factors; the pipelined scheme must still overlap broadcast with compute.
+  // schedule with and without look-ahead but must not change pivots or
+  // factors; the look-ahead must still overlap broadcast with compute.
   const auto baseline = run_distributed_hpl(60, 12, Grid{2, 2}, 31);
   ASSERT_TRUE(baseline.ok);
 
-  for (Lookahead scheme :
-       {Lookahead::kNone, Lookahead::kBasic, Lookahead::kPipelined}) {
+  for (Lookahead scheme : {Lookahead::kNone, Lookahead::kBasic}) {
     InjectorConfig fc;
     fc.slow_rank = 1;
     fc.slow_rank_us = 200;
@@ -349,7 +348,7 @@ TEST(Chaos, LookaheadSchemesSurviveSlowRankBitwise) {
                                          baseline.factored.view()),
               0.0)
         << "scheme=" << static_cast<int>(scheme);
-    if (scheme == Lookahead::kPipelined) {
+    if (scheme == Lookahead::kBasic) {
       EXPECT_GT(trace::cross_lane_overlap(tl, trace::SpanKind::kBroadcast,
                                           trace::SpanKind::kGemm),
                 0.0);
@@ -385,7 +384,10 @@ TEST(Chaos, SeededSweepShapesSchemesAndFaultSchedules) {
     const std::size_t nb = 8 + 4 * (master.next_u64() % 4);       // 8..20
     const std::size_t n = nb * (3 + master.next_u64() % 3);       // 3..5 blocks
     const Grid grid = (master.next_u64() % 2) ? Grid{2, 2} : Grid{1, 2};
-    const auto scheme = static_cast<Lookahead>(master.next_u64() % 3);
+    // Three draws kept from when there were three schemes, so the shapes
+    // and fault seeds stay the same.
+    const auto scheme = master.next_u64() % 3 == 0 ? Lookahead::kNone
+                                                   : Lookahead::kBasic;
     const std::uint64_t mat_seed = 1 + master.next_u64() % 1000;
 
     DistributedHplOptions base;

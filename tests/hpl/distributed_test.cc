@@ -135,8 +135,8 @@ TEST(DistributedHpl, HybridOffloadTwoCardsPerRank) {
 // ---------------------------------------------------------------------------
 
 TEST(DistributedHpl, LookaheadSchemesBitwiseIdentical) {
-  // The three schedules reorder communication and split the update into
-  // column subsets, but never change any per-element accumulation order
+  // The look-ahead reorders communication and splits the update into two
+  // column subsets, but never changes any per-element accumulation order
   // (see gemm_tiled.h) — so the factors must match kNone bit for bit,
   // in both precisions and across non-divisible N/NB/PxQ shapes.
   struct Shape { std::size_t n, nb; Grid grid; };
@@ -148,25 +148,22 @@ TEST(DistributedHpl, LookaheadSchemesBitwiseIdentical) {
       base.precision = precision;
       const auto none = run_distributed_hpl(sh.n, sh.nb, sh.grid, 29, base);
       ASSERT_TRUE(none.ok);
-      for (auto scheme : {Lookahead::kBasic, Lookahead::kPipelined}) {
-        DistributedHplOptions opt = base;
-        opt.lookahead = scheme;
-        const auto res = run_distributed_hpl(sh.n, sh.nb, sh.grid, 29, opt);
-        const auto label = [&] {
-          return ::testing::Message()
-                 << "n=" << sh.n << " nb=" << sh.nb << " grid=" << sh.grid.p
-                 << "x" << sh.grid.q
-                 << " precision=" << precision_name(precision)
-                 << " scheme=" << static_cast<int>(scheme);
-        };
-        ASSERT_TRUE(res.ok) << label();
-        EXPECT_EQ(res.ipiv, none.ipiv) << label();
-        EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(),
-                                             none.factored.view()),
-                  0.0)
-            << label();
-        EXPECT_LT(gathered_solve_agreement(res, 29, opt), 1e-10) << label();
-      }
+      DistributedHplOptions opt = base;
+      opt.lookahead = Lookahead::kBasic;
+      const auto res = run_distributed_hpl(sh.n, sh.nb, sh.grid, 29, opt);
+      const auto label = [&] {
+        return ::testing::Message()
+               << "n=" << sh.n << " nb=" << sh.nb << " grid=" << sh.grid.p
+               << "x" << sh.grid.q
+               << " precision=" << precision_name(precision);
+      };
+      ASSERT_TRUE(res.ok) << label();
+      EXPECT_EQ(res.ipiv, none.ipiv) << label();
+      EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(),
+                                           none.factored.view()),
+                0.0)
+          << label();
+      EXPECT_LT(gathered_solve_agreement(res, 29, opt), 1e-10) << label();
     }
   }
 }
@@ -198,8 +195,8 @@ std::uint64_t result_hash(const DistributedHplResult& r) {
 
 TEST(DistributedHpl, FactorBitsPinnedAtParent) {
   // Hashes captured before the three look-ahead schemes shared one rank
-  // stage and one panel/U transport: every scheme must keep reproducing
-  // them in both precisions, so the schemes cannot drift together. fp64
+  // stage and one panel/U transport: both schedules must keep reproducing
+  // them in both precisions, so they cannot drift together. fp64
   // has one pin per GEMM contract (DESIGN.md §12): unfused on the generic
   // tier, fused on the avx2/avx512 tiers (captured when those fp64 kernels
   // started accumulating through FMA). The mixed runs factor in fp32,
@@ -230,8 +227,7 @@ TEST(DistributedHpl, FactorBitsPinnedAtParent) {
                      blas::mk::Accumulate::kFused;
   for (const Pinned& pin : kPinned) {
     for (auto precision : {Precision::kFp64, Precision::kMixed}) {
-      for (auto scheme :
-           {Lookahead::kNone, Lookahead::kBasic, Lookahead::kPipelined}) {
+      for (auto scheme : {Lookahead::kNone, Lookahead::kBasic}) {
         DistributedHplOptions opt;
         opt.precision = precision;
         opt.lookahead = scheme;
@@ -266,44 +262,22 @@ TEST(DistributedHpl, LookaheadMatchesSequentialOracle) {
   util::fill_hpl_matrix(a.view(), 43);
   std::vector<std::size_t> ipiv(n);
   ASSERT_TRUE(blas::getrf_blocked<double>(a.view(), ipiv, nb));
-  for (auto scheme : {Lookahead::kBasic, Lookahead::kPipelined}) {
-    DistributedHplOptions opt;
-    opt.lookahead = scheme;
-    const auto res = run_distributed_hpl(n, nb, Grid{2, 2}, 43, opt);
-    ASSERT_TRUE(res.ok);
-    EXPECT_EQ(res.ipiv, ipiv);
-    EXPECT_LT(util::max_abs_diff<double>(res.factored.view(), a.view()), 1e-9);
-  }
+  DistributedHplOptions opt;
+  opt.lookahead = Lookahead::kBasic;
+  const auto res = run_distributed_hpl(n, nb, Grid{2, 2}, 43, opt);
+  ASSERT_TRUE(res.ok);
+  EXPECT_EQ(res.ipiv, ipiv);
+  EXPECT_LT(util::max_abs_diff<double>(res.factored.view(), a.view()), 1e-9);
 }
 
-TEST(DistributedHpl, PipelinedSubsetCountsAllEquivalent) {
-  // Any subset count — including 1 (degenerate) and more than the trailing
-  // width supports — must leave the numerics untouched.
-  const auto none = run_distributed_hpl(66, 11, Grid{2, 2}, 51);
-  ASSERT_TRUE(none.ok);
-  for (int subsets : {1, 2, 7, 16}) {
-    DistributedHplOptions opt;
-    opt.lookahead = Lookahead::kPipelined;
-    opt.pipeline_subsets = subsets;
-    const auto res = run_distributed_hpl(66, 11, Grid{2, 2}, 51, opt);
-    ASSERT_TRUE(res.ok) << "subsets=" << subsets;
-    EXPECT_EQ(res.ipiv, none.ipiv) << "subsets=" << subsets;
-    EXPECT_EQ(util::max_abs_diff<double>(res.factored.view(),
-                                         none.factored.view()),
-              0.0)
-        << "subsets=" << subsets;
-  }
-}
-
-TEST(DistributedHpl, PipelinedRecordsOverlappingCommAndCompute) {
-  // The point of the pipelined schedule: some rank's broadcast (panel or U
-  // transfer wait) runs while another rank's GEMM computes. The timeline
-  // must show cross-lane kBroadcast x kGemm overlap, and comm spans must
-  // land in the kBroadcast/kRowSwap lanes.
+TEST(DistributedHpl, LookaheadRecordsOverlappingCommAndCompute) {
+  // The point of the look-ahead: some rank's broadcast (panel or U transfer
+  // wait) runs while another rank's GEMM computes. The timeline must show
+  // cross-lane kBroadcast x kGemm overlap, and comm spans must land in the
+  // kBroadcast/kRowSwap lanes.
   trace::Timeline tl;
   DistributedHplOptions opt;
-  opt.lookahead = Lookahead::kPipelined;
-  opt.pipeline_subsets = 4;
+  opt.lookahead = Lookahead::kBasic;
   opt.timeline = &tl;
   const auto res = run_distributed_hpl(240, 24, Grid{2, 2}, 71, opt);
   ASSERT_TRUE(res.ok);
@@ -327,7 +301,7 @@ TEST(DistributedHpl, DistributedResidualAgreesWithSequentialResidual) {
   // the HPL test and land within FP-reordering distance of the sequential
   // evaluation of the same x.
   const System sys = make_system(96, 23);
-  for (auto scheme : {Lookahead::kNone, Lookahead::kBasic, Lookahead::kPipelined}) {
+  for (auto scheme : {Lookahead::kNone, Lookahead::kBasic}) {
     DistributedHplOptions opt;
     opt.lookahead = scheme;
     const auto res = run_distributed_hpl(96, 12, Grid{2, 2}, 23, opt);
@@ -343,12 +317,19 @@ TEST(DistributedHpl, DistributedResidualAgreesWithSequentialResidual) {
 
 TEST(DistributedHpl, CommStatsExposePerRankTraffic) {
   DistributedHplOptions opt;
-  opt.lookahead = Lookahead::kPipelined;
+  opt.lookahead = Lookahead::kBasic;
   const auto res = run_distributed_hpl(72, 12, Grid{2, 2}, 37, opt);
   ASSERT_TRUE(res.ok);
   ASSERT_EQ(res.comm_stats.size(), 4u);
+  // Exact traffic: the factors are never sent. When ranks 1-3 still sent
+  // their shares to rank 0 after the solve, each sent one more message and
+  // 36 * 36 * 8 = 10 368 more bytes: messages {69, 61, 53, 64}, bytes
+  // {56 544, 32 952, 30 936, 57 696}.
+  constexpr std::size_t kMessages[] = {69, 60, 52, 63};
+  constexpr std::size_t kBytes[] = {56544, 22584, 20568, 47328};
   for (int r = 0; r < 4; ++r) {
-    EXPECT_GT(res.comm_stats[r].messages_sent, 0u) << "rank " << r;
+    EXPECT_EQ(res.comm_stats[r].messages_sent, kMessages[r]) << "rank " << r;
+    EXPECT_EQ(res.comm_stats[r].bytes_sent, kBytes[r]) << "rank " << r;
     EXPECT_GT(res.comm_stats[r].bytes_received, 0u) << "rank " << r;
     EXPECT_GT(res.comm_stats[r].mailbox_high_water, 0u) << "rank " << r;
   }

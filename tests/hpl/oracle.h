@@ -1,7 +1,7 @@
 // Sequential oracle for distributed HPL runs, shared by the hpl tests.
 // run_distributed_hpl checks its answer once, over the distributed data; the
-// tests check that answer again here, sequentially, on the factors the run
-// gathered to rank 0.
+// tests check that answer again here, sequentially, on the factors every
+// rank wrote into the result.
 #pragma once
 
 #include <cmath>
